@@ -65,11 +65,12 @@ func measureWindow(t testing.TB, p *Processor, runs, window int) float64 {
 
 // TestSteadyStateAllocs is the zero-allocation gate for the cycle engine:
 // once warm, the cycle loop — dispatch, issue, intra-PE bypass, result-bus
-// arbitration, memory snooping, retirement, and the periodic tag GC — runs
-// out of pooled state (per-PE instruction arenas, the event ring, recycled
-// subscriber/load-record/ARB storage, the rename-entry pool) and must not
-// touch the heap. On a predictable workload, whose steady state constructs
-// no new traces, windows of a thousand cycles must average ~0 allocations.
+// arbitration, memory snooping, retirement and tag reference counting —
+// runs out of pooled state (per-PE instruction arenas, the event ring,
+// recycled subscriber/load-record/ARB storage, the rename freelist) and
+// must not touch the heap. On a predictable workload, whose steady state
+// constructs no new traces, windows of a thousand cycles must average ~0
+// allocations.
 //
 // The engine's only legitimate steady-state allocations are proportional to
 // the trace-cache miss rate (every compulsory miss builds one persistent

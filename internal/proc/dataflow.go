@@ -240,6 +240,22 @@ func (p *Processor) grantResultBuses() {
 	p.bcastQueue = rest
 }
 
+// pruneSubs drops, in place, the entries of tag's subscriber list that no
+// longer subscribe an operand to tag: the instruction was squashed, its slot
+// reused, or the operand rebound.
+//
+//tracep:noalloc
+func pruneSubs(list []subRef, tag rename.Tag) []subRef {
+	kept := list[:0]
+	for _, s := range list {
+		if st := s.st; !st.cancelled && st.gen == s.gen && st.src[s.src].tag == tag {
+			//tracep:allow pruning reuses the list's own backing array
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
+
 // deliverGlobal wakes every valid subscriber of tag with its current value.
 // Stale subscriptions (squashed instructions, reused slots, rebound
 // operands) are pruned lazily here. The subscriber list is a direct index
@@ -261,18 +277,13 @@ func (p *Processor) deliverGlobal(tag rename.Tag) {
 		row.list = row.list[:0]
 		return
 	}
-	kept := row.list[:0]
+	row.list = pruneSubs(row.list, tag)
+	if !e.Ready {
+		return
+	}
 	for _, s := range row.list {
 		st := s.st
-		if st.cancelled || st.gen != s.gen || st.src[s.src].tag != tag {
-			continue // stale subscription
-		}
-		//tracep:allow subscriber-list compaction reuses the list's own backing array
-		kept = append(kept, s)
 		op := &st.src[s.src]
-		if !e.Ready {
-			continue
-		}
 		if p.vp != nil && op.kind == trace.SrcLiveIn {
 			p.vp.Train(vpKey(st, op.arch), e.Val)
 		}
@@ -289,29 +300,21 @@ func (p *Processor) deliverGlobal(tag rename.Tag) {
 		op.ready = true
 		p.queueWake(st)
 	}
-	row.list = kept
 }
 
 // addSub subscribes ref to tag's row of the flat subscriber table. A row
 // left behind by the slot's previous tag is truncated in place, so its list
-// capacity is recycled; the table itself regrows only when the register
-// file adds a page.
+// capacity is recycled. A full row first drops its stale entries: a
+// long-lived ready tag never delivers again, so without this its list would
+// gain a dead entry per consuming dispatch for as long as the tag lives.
+// The table grows with the register file, a page at a time.
 //
 //tracep:noalloc
 func (p *Processor) addSub(tag rename.Tag, ref subRef) {
 	i := rename.SlotIndex(tag)
 	if i >= len(p.subTab) {
-		// Double (at least) so growth stays amortised while the register
-		// file's frontier is still advancing ahead of the first sweeps.
-		n := 2 * len(p.subTab)
-		if n < p.regs.Slots() {
-			n = p.regs.Slots()
-		}
-		if n < 1024 {
-			n = 1024
-		}
-		//tracep:allow amortised: the table at least doubles per regrow
-		tab := make([]subSlot, n)
+		//tracep:allow one regrow per register-file page
+		tab := make([]subSlot, p.regs.Cap())
 		copy(tab, p.subTab)
 		p.subTab = tab
 	}
@@ -319,6 +322,9 @@ func (p *Processor) addSub(tag rename.Tag, ref subRef) {
 	if row.tag != tag {
 		row.tag = tag
 		row.list = row.list[:0]
+	}
+	if len(row.list) == cap(row.list) {
+		row.list = pruneSubs(row.list, tag)
 	}
 	if cap(row.list) == 0 {
 		// First subscription on this slot: carve a small list from the slab
@@ -437,60 +443,4 @@ func (p *Processor) snapshotLoads(addr uint32) []*instState {
 		return nil
 	}
 	return out
-}
-
-// ---- garbage collection ----
-
-// collectGarbage sweeps unreferenced tags and compacts lazy index
-// structures. Roots: the dispatch-frontier map and every live PE's
-// checkpoints, operand bindings and destination tags. Marks live in the
-// register file's own slot metadata (rename.File.Mark), so periodic
-// collection maintains no side set and does not allocate.
-//
-//tracep:noalloc
-func (p *Processor) collectGarbage() {
-	for _, t := range p.specMap {
-		p.regs.Mark(t)
-	}
-	for id := p.head; id >= 0; id = p.pes[id].next {
-		pe := p.pes[id]
-		for _, t := range pe.mapBefore {
-			p.regs.Mark(t)
-		}
-		for _, t := range pe.mapAfter {
-			p.regs.Mark(t)
-		}
-		for _, st := range pe.insts {
-			p.regs.Mark(st.destTag)
-			p.regs.Mark(st.src[0].tag)
-			p.regs.Mark(st.src[1].tag)
-		}
-	}
-	p.regs.SweepUnmarked()
-	// Compact stale subscribers out of surviving rows. deliverGlobal prunes
-	// lazily on delivery, but a long-lived ready tag (a register written
-	// once and read forever) never delivers again, so without this its list
-	// would grow by one dead entry per consuming dispatch for the rest of
-	// the run. The staleness test matches deliverGlobal's, so removal is
-	// behaviour-neutral; rows whose tag just died are truncated outright.
-	for i := range p.subTab {
-		row := &p.subTab[i]
-		if len(row.list) == 0 {
-			continue
-		}
-		if p.regs.Get(row.tag) == nil {
-			row.list = row.list[:0]
-			continue
-		}
-		kept := row.list[:0]
-		for _, ref := range row.list {
-			st := ref.st
-			if st.cancelled || st.gen != ref.gen || st.src[ref.src].tag != row.tag {
-				continue
-			}
-			//tracep:allow subscriber compaction reuses the list's own backing array
-			kept = append(kept, ref)
-		}
-		row.list = kept
-	}
 }

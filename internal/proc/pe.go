@@ -156,10 +156,12 @@ type peState struct {
 	next    int
 	prev    int
 
-	// mapBefore/mapAfter checkpoint the global rename maps around this
-	// trace.
+	// mapBefore checkpoints the global rename map before this trace. It
+	// holds no tag references: the head PE's mapBefore is the architectural
+	// map, and every other tag in it is an older in-window destination —
+	// except while the trace awaits re-dispatch, which rewrites the
+	// checkpoint before anything reads it.
 	mapBefore rename.Map
-	mapAfter  rename.Map
 
 	// histPos is the next-trace predictor history checkpoint for this trace.
 	histPos int
@@ -204,23 +206,32 @@ func (pe *peState) ensureSlots(n int) {
 	}
 }
 
-// reinit prepares the slot for a new dynamic instruction: the generation
-// advances (invalidating every stale reference to the previous occupant)
-// and all per-instruction state clears.
+// reinit prepares the slot for a new dynamic instruction: the previous
+// occupant's tag references are released, the generation advances
+// (invalidating every stale reference to the previous occupant) and all
+// per-instruction state clears.
 //
 //tracep:noalloc
-func (st *instState) reinit() {
-	*st = instState{pe: st.pe, slot: st.slot, gen: st.gen + 1}
+func (st *instState) reinit(regs *rename.File) {
+	st.invalidate(regs)
+	*st = instState{pe: st.pe, slot: st.slot, gen: st.gen}
 	st.pe.cold[st.slot] = instCold{}
 }
 
-// invalidate advances the slot's generation without installing a new
-// instruction, so stale references fail their gen check. Used when a PE
-// leaves the window (retirement or squash) while queue entries, events or
-// subscriptions may still point at its slots.
+// invalidate releases the slot's destination and bound live-in tags and
+// advances its generation without installing a new instruction, so stale
+// references fail their gen check. Used when a PE leaves the window
+// (retirement or squash) while queue entries, events or subscriptions may
+// still point at its slots.
 //
 //tracep:noalloc
-func (st *instState) invalidate() { st.gen++ }
+func (st *instState) invalidate(regs *rename.File) {
+	regs.Release(st.destTag)
+	regs.Release(st.src[0].tag)
+	regs.Release(st.src[1].tag)
+	st.destTag, st.src[0].tag, st.src[1].tag = 0, 0, 0
+	st.gen++
+}
 
 // subRef is a subscription of an operand to a global tag; gen is the
 // instruction slot's generation at subscription time.
@@ -351,7 +362,8 @@ func (p *Processor) allocPE(prevID int) *peState {
 // unlinkPE removes a PE from the list and returns it to the free pool. The
 // generation of every resident instruction slot advances so stale
 // references (subscriptions, events, queue entries) to the departing trace's
-// instructions are recognisably dead once the arena is reused.
+// instructions are recognisably dead once the arena is reused, and the
+// instructions' tag references are released.
 //
 //tracep:noalloc
 func (p *Processor) unlinkPE(pe *peState) {
@@ -374,7 +386,7 @@ func (p *Processor) unlinkPE(pe *peState) {
 	pe.active = false
 	pe.gen++
 	for _, st := range pe.insts {
-		st.invalidate()
+		st.invalidate(p.regs)
 	}
 	p.releaseTrace(pe.tr)
 	pe.tr = nil
@@ -450,10 +462,7 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 			}
 		}
 	}
-	for _, r := range tr.LiveOuts {
-		p.specMap[r] = pe.insts[tr.LastWriter[r]].destTag
-	}
-	pe.mapAfter = p.specMap
+	p.renameLiveOuts(pe)
 	p.Stats.DispatchedTraces++
 	if p.debugLog != nil {
 		if p.debugLog != nil {
@@ -473,6 +482,17 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	return pe
 }
 
+// renameLiveOuts moves the dispatch-frontier map past pe's trace: pe's
+// checkpoint plus the trace's live-outs.
+//
+//tracep:noalloc
+func (p *Processor) renameLiveOuts(pe *peState) {
+	p.regs.SetMap(&p.specMap, &pe.mapBefore)
+	for _, r := range pe.tr.LiveOuts {
+		p.regs.Set(&p.specMap[r], pe.insts[pe.tr.LastWriter[r]].destTag)
+	}
+}
+
 // initInstState reinitialises st (a pooled slot) as the dynamic instruction
 // for slot i of tr, binding its live-in operands through the map before the
 // trace.
@@ -481,7 +501,7 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 	pe := st.pe
 	in := tr.Insts[i]
-	st.reinit()
+	st.reinit(p.regs)
 	st.inst = in
 	st.cold().pc = tr.PCs[i]
 	if rd, ok := in.WritesReg(); ok {
@@ -540,7 +560,7 @@ func vpKey(st *instState, arch isa.Reg) uint64 {
 //tracep:noalloc
 func (p *Processor) bindLiveIn(st *instState, k int, tag rename.Tag) {
 	op := &st.src[k]
-	op.tag = tag
+	p.regs.Set(&op.tag, tag)
 	e := p.regs.Get(tag)
 	switch {
 	case e != nil && e.Ready:

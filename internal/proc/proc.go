@@ -109,8 +109,6 @@ type Config struct {
 	// WatchdogCycles aborts the run if nothing retires for this many cycles
 	// (a livelock/deadlock detector for the simulator itself).
 	WatchdogCycles int64
-	// GCInterval is the tag garbage-collection period in cycles.
-	GCInterval int64
 }
 
 // DefaultConfig returns Table 1's configuration.
@@ -133,7 +131,6 @@ func DefaultConfig() Config {
 		VPred:          vpred.DefaultConfig(),
 		Verify:         true,
 		WatchdogCycles: 200000,
-		GCInterval:     8192,
 	}
 }
 
@@ -147,8 +144,12 @@ type Processor struct {
 	oracle  *emu.Emulator
 	commits CommitSource // recorded-trace oracle; replaces the emulator when set
 
+	// regs is the global register file. specMap (the rename map at the
+	// dispatch frontier) and archMap (the architectural map, which the head
+	// PE's mapBefore equals) each hold a reference to every tag they name.
 	regs    *rename.File
-	specMap rename.Map // rename map at the dispatch frontier
+	specMap rename.Map
+	archMap rename.Map
 
 	arbuf  *arb.ARB
 	dcache *cache.DCache
@@ -323,6 +324,8 @@ func build(prog *isa.Program, model Model, cfg Config, snap *Snapshot) *Processo
 		p.fe.expectedPC = snap.emu.PC
 		p.Stats.WarmupInsts = snap.warmupInsts
 	}
+	// With the window empty, the seeded map is also the architectural map.
+	p.regs.SetMap(&p.archMap, &p.specMap)
 	// Checkpoints into the next-trace predictor's history ring reach back at
 	// most one window plus one fetch queue of in-flight traces; size the ring
 	// generously for deep-window configurations.
@@ -389,9 +392,11 @@ const ctxCheckInterval = 1024
 
 // RunContext simulates like Run but stops early when ctx is cancelled,
 // returning the statistics gathered so far together with the context's
-// error. When tap is non-nil it is called (synchronously, on the simulation
-// goroutine) each time another `every` instructions have retired; every <= 0
-// disables the tap.
+// error. The returned statistics are a copy: they do not move if the
+// processor is stepped further, and holding them does not keep the
+// processor alive. When tap is non-nil it is called (synchronously, on the
+// simulation goroutine) each time another `every` instructions have
+// retired; every <= 0 disables the tap.
 func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint64, tap func(Progress)) (*Stats, error) {
 	var ctxErr error
 	var nextTap uint64
@@ -418,10 +423,11 @@ func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint6
 	}
 	p.Stats.Cycles = uint64(p.cycle)
 	p.finalizeStats()
+	stats := p.Stats
 	if p.err != nil {
-		return &p.Stats, p.err
+		return &stats, p.err
 	}
-	return &p.Stats, ctxErr
+	return &stats, ctxErr
 }
 
 // Step advances the processor one cycle.
@@ -435,9 +441,6 @@ func (p *Processor) Step() {
 	p.grantResultBuses()
 	p.frontendStep()
 	p.retireStep()
-	if p.cfg.GCInterval > 0 && p.cycle%p.cfg.GCInterval == 0 {
-		p.collectGarbage()
-	}
 	if p.cfg.WatchdogCycles > 0 && p.cycle-p.lastRetire > p.cfg.WatchdogCycles {
 		//tracep:allow watchdog trip is terminal: the run is abandoned, so the error construction is off the measured path
 		p.fail(fmt.Errorf("watchdog: no retirement for %d cycles at cycle %d (head=%d recovery=%v)",

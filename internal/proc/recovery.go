@@ -427,7 +427,7 @@ func (p *Processor) installRepair() {
 		// squashed suffix). Slots beyond the new length fall off the insts
 		// prefix; their generations advance so references die with them.
 		for i := len(newTr.Insts); i < len(pe.insts); i++ {
-			pe.insts[i].invalidate()
+			pe.insts[i].invalidate(p.regs)
 		}
 		pe.ensureSlots(len(newTr.Insts))
 		p.releaseTrace(pe.tr)
@@ -481,11 +481,7 @@ func (p *Processor) installRepair() {
 
 	// Rebuild the rename-map frontier: map before the trace plus the
 	// repaired trace's live-outs.
-	p.specMap = pe.mapBefore
-	for _, r := range pe.tr.LiveOuts {
-		p.specMap[r] = pe.insts[pe.tr.LastWriter[r]].destTag
-	}
-	pe.mapAfter = p.specMap
+	p.renameLiveOuts(pe)
 
 	// Back up the predictor history to this trace and substitute the
 	// repaired trace's ID.
@@ -598,10 +594,7 @@ func (p *Processor) redispatchTrace(q *peState) {
 			p.rebindOperand(st, k, newTag)
 		}
 	}
-	for _, r := range q.tr.LiveOuts {
-		p.specMap[r] = q.insts[q.tr.LastWriter[r]].destTag
-	}
-	q.mapAfter = p.specMap
+	p.renameLiveOuts(q)
 	p.Stats.RedispatchedTraces++
 }
 
@@ -611,7 +604,7 @@ func (p *Processor) redispatchTrace(q *peState) {
 //tracep:noalloc
 func (p *Processor) rebindOperand(st *instState, k int, newTag rename.Tag) {
 	op := &st.src[k]
-	op.tag = newTag
+	p.regs.Set(&op.tag, newTag)
 	op.predicted = false
 	p.addSub(newTag, subRef{st: st, gen: st.gen, src: k})
 	e := p.regs.Get(newTag)
@@ -670,7 +663,7 @@ func (p *Processor) retargetIndirectRecovery(st *instState) {
 		rec.inserted = 0
 		// Rewind the rename-map frontier past the squashed insertions so
 		// re-inserted traces bind live-ins to live producers.
-		p.specMap = pe.mapAfter
+		p.renameLiveOuts(pe)
 		p.dropFetchQueue(pe.histPos + 1)
 		p.fe.expectedPC = st.cold().actualTarget
 		p.fe.waitIndirect = false

@@ -122,7 +122,19 @@ func (p *Processor) retireStep() {
 	if p.rec.active && p.rec.phase == recInserting && p.rec.insertAfter == pe.id {
 		p.rec.insertAfter = -1
 	}
+	// The trace's live-outs become architectural; the tags they overwrite
+	// lose the architectural map's reference.
+	for _, r := range pe.tr.LiveOuts {
+		p.regs.Set(&p.archMap[r], pe.insts[pe.tr.LastWriter[r]].destTag)
+	}
 	p.unlinkPE(pe)
+	// The new head's checkpoint is the architectural map. A trace still
+	// awaiting re-dispatch may hold a stale one naming squashed producers;
+	// nothing reads it before re-dispatch rewrites it, but the window
+	// never exposes it at the head.
+	if p.head >= 0 {
+		p.pes[p.head].mapBefore = p.archMap
+	}
 }
 
 // accountRetired updates branch statistics and trains the branch predictor

@@ -3,8 +3,10 @@ package proc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -95,5 +97,50 @@ func TestSnapshotUnmarshalCorrupt(t *testing.T) {
 		} else if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("bit flip at offset %d: got %v, want ErrCorruptSnapshot", off, err)
 		}
+	}
+}
+
+// withConfigField re-frames a marshalled snapshot with field appended to
+// its configuration JSON, recomputing the payload length and CRC — the
+// shape of an image written by a build whose Config had that field.
+func withConfigField(t *testing.T, data []byte, field string) []byte {
+	t.Helper()
+	body := data[len(snapMagic):]
+	n, k := binary.Uvarint(body)
+	payload := body[k : k+int(n)]
+	cfgLen, k := binary.Uvarint(payload)
+	cfgJSON, rest := payload[k:k+int(cfgLen)], payload[k+int(cfgLen):]
+	end := len(cfgJSON) - 1
+	if cfgJSON[end] != '}' {
+		t.Fatalf("configuration section is not a JSON object: %q", cfgJSON)
+	}
+	spliced := append(append([]byte(nil), cfgJSON[:end]...), ","+field+"}"...)
+
+	newPayload := binary.AppendUvarint(nil, uint64(len(spliced)))
+	newPayload = append(append(newPayload, spliced...), rest...)
+	out := append([]byte(nil), snapMagic[:]...)
+	out = binary.AppendUvarint(out, uint64(len(newPayload)))
+	out = append(out, newPayload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(newPayload, snapCRCTable))
+}
+
+// TestSnapshotDecodesRemovedGCInterval: images written while Config still
+// had the tag collector's GCInterval carry it in their configuration JSON.
+// They must still decode, and restore to the same run as a current image.
+func TestSnapshotDecodesRemovedGCInterval(t *testing.T) {
+	cfg := DefaultConfig()
+	snap, data := marshalSnap(t, cfg, 5_000)
+	old := withConfigField(t, data, `"GCInterval":8192`)
+	if !bytes.Contains(old, []byte(`"GCInterval":8192`)) {
+		t.Fatal("splice did not take")
+	}
+	decoded, err := UnmarshalSnapshot(old)
+	if err != nil {
+		t.Fatalf("UnmarshalSnapshot of an image with GCInterval: %v", err)
+	}
+	want, _ := json.Marshal(runFromSnapshot(t, snap, ModelFGMLBRET, cfg))
+	got, _ := json.Marshal(runFromSnapshot(t, decoded, ModelFGMLBRET, cfg))
+	if !bytes.Equal(want, got) {
+		t.Errorf("run restored from the old image diverged:\n%s\n%s", want, got)
 	}
 }

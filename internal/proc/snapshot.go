@@ -193,8 +193,8 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 // restored from the snapshot: every field that sizes or seeds a snapshotted
 // structure must match the capture-time configuration. Fields that only
 // shape the measured simulation — PE count, issue width, bus counts and
-// latencies, verification, watchdog, GC interval — may differ freely, so a
-// window-sizing sweep can share one warm-up.
+// latencies, verification, watchdog — may differ freely, so a window-sizing
+// sweep can share one warm-up.
 func (s *Snapshot) CompatibleWith(cfg Config) error {
 	mismatch := func(field string, capture, restore any) error {
 		return fmt.Errorf("%w: %s was %+v at capture, %+v at restore",

@@ -164,25 +164,6 @@ func TestWatchdogHealthy(t *testing.T) {
 	}
 }
 
-// TestGCKeepsLiveTags runs a long program with a small GC interval and
-// verifies the register file stays bounded while the simulation stays
-// correct (the oracle checks correctness; this checks boundedness).
-func TestGCKeepsLiveTags(t *testing.T) {
-	prog := lcgProgram(2000)
-	cfg := testConfig()
-	cfg.GCInterval = 256
-	p := New(prog, ModelFGMLBRET, cfg)
-	if _, err := p.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if size := p.regs.Size(); size > 20000 {
-		t.Errorf("register file grew to %d tags; GC is not collecting", size)
-	}
-	if p.regs.Swept == 0 {
-		t.Error("GC never swept anything")
-	}
-}
-
 // newOracle builds a functional emulator (helper avoiding an import cycle in
 // tests).
 func newOracle(prog *isa.Program) *oracleRunner {

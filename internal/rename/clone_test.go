@@ -46,7 +46,7 @@ func TestFileCloneIndependence(t *testing.T) {
 
 // TestPagedFileCloneAcrossPages pins the paged layout's clone semantics on a
 // file big enough to span several pages, with freelist and generation state
-// in play: live entries survive page boundaries, swept tags read as stale
+// in play: live entries survive page boundaries, freed tags read as stale
 // through both files, writes through either file never reach the other, and
 // the copied freelist makes both files hand out identical future tags.
 func TestPagedFileCloneAcrossPages(t *testing.T) {
@@ -56,29 +56,28 @@ func TestPagedFileCloneAcrossPages(t *testing.T) {
 	for i := range tags {
 		tags[i] = f.AllocReady(int64(i))
 	}
-	// Sweep every third tag so the freelist and generation bumps span pages.
+	// Free every third tag so the freelist and generation bumps span pages.
 	for i, tg := range tags {
-		if i%3 != 0 {
-			f.Mark(tg)
+		if i%3 == 0 {
+			f.Release(tg)
 		}
 	}
-	f.SweepUnmarked()
 
 	c := f.Clone()
 	if c.Size() != f.Size() || c.Slots() != f.Slots() {
 		t.Fatalf("clone counters: size %d/%d, slots %d/%d", c.Size(), f.Size(), c.Slots(), f.Slots())
 	}
 
-	// Swept tags are stale through both files.
+	// Freed tags are stale through both files.
 	for _, i := range []int{0, 3 * pageSize} {
 		if f.Get(tags[i]) != nil || c.Get(tags[i]) != nil {
-			t.Errorf("swept tag %d still resolves", i)
+			t.Errorf("freed tag %d still resolves", i)
 		}
 	}
 	// Live entries on every page carry their values.
 	for _, i := range []int{1, pageSize - 1, pageSize + 2, 2*pageSize + 1, n - 1} {
 		if i%3 == 0 {
-			t.Fatalf("probe %d was swept; pick a non-multiple of 3", i)
+			t.Fatalf("probe %d was freed; pick a non-multiple of 3", i)
 		}
 		if e := c.Get(tags[i]); e == nil || e.Val != int64(i) {
 			t.Fatalf("clone lost entry %d: %+v", i, e)
@@ -86,7 +85,7 @@ func TestPagedFileCloneAcrossPages(t *testing.T) {
 	}
 
 	// Writes are independent, including beyond the first page. (The index
-	// must not be a multiple of 3, which the sweep above retired.)
+	// must not be a multiple of 3, which the frees above retired.)
 	idx := pageSize + 2
 	f.Write(tags[idx], -5)
 	if c.Get(tags[idx]).Val != int64(idx) {
@@ -99,7 +98,7 @@ func TestPagedFileCloneAcrossPages(t *testing.T) {
 
 	// Both files drain the copied freelist in the same order: every future
 	// allocation yields the same tag (slot and bumped generation) on each
-	// side, first reusing swept slots, then extending the frontier.
+	// side, first reusing freed slots, then extending the frontier.
 	for i := 0; i < n/3+4; i++ {
 		ta, tb := f.Alloc(), c.Alloc()
 		if ta != tb {

@@ -3,14 +3,15 @@
 // value tags, per-trace map checkpoints, and the global register file
 // holding tag values.
 //
-// Tags are garbage-collected by mark/sweep (Table 1 does not bound the
-// physical register file, and unbounded tags make the selective-reissue
-// semantics exact: a re-dispatched control independent trace compares its
-// source tags against the updated maps and reissues only instructions whose
-// names changed, §2.2.1). A tag packs a physical slot index with the slot's
-// generation, so lookups are a gen-checked array index instead of a map
-// probe, and a stale tag (its slot swept and reused) reads as invalid
-// exactly like a deleted map key used to.
+// A physical register lives exactly as long as something names it, as on a
+// hardware free list. Every holder of a tag takes a reference (Alloc hands
+// out the first, Retain adds one, Set moves one between names) and drops it
+// with Release; the release that brings a slot's count to zero bumps its
+// generation and returns it to a LIFO freelist. Table 1 does not bound the
+// physical register file, so allocation never stalls, but the file only
+// grows to the machine's peak live set. A tag packs a physical slot index
+// with the slot's generation, so lookups are a gen-checked array index, and
+// a tag whose slot has been freed (and perhaps reused) reads as invalid.
 package rename
 
 import "tracep/internal/isa"
@@ -57,29 +58,29 @@ const (
 
 // page is one fixed-size block of register file slots with their parallel
 // metadata lanes. Entries (read on every operand lookup) and metadata
-// (generation checks, liveness, GC marks) sit in separate arrays so the hot
-// Get path touches densely packed cache lines.
+// (generations, reference counts) sit in separate arrays so the hot Get
+// path touches densely packed cache lines. A slot is live while its count
+// is nonzero.
 type page struct {
-	ents   [pageSize]Entry
-	gen    [pageSize]uint32
-	live   [pageSize]bool
-	marked [pageSize]bool
+	ents [pageSize]Entry
+	gen  [pageSize]uint32
+	refs [pageSize]uint32
 }
 
 // File is the global register file: tag -> value storage, laid out as pages
-// of slots indexed directly by the tag's low bits. Swept slots go on a
-// freelist that Alloc drains before extending the frontier, and each reuse
-// bumps the slot generation so stale tags read as invalid. Clone block-copies
-// the pages out of one contiguous arena.
+// of slots indexed directly by the tag's low bits. Freed slots go on a
+// freelist that Alloc drains before extending the frontier, and each free
+// bumps the slot generation so stale tags read as invalid. Clone
+// block-copies the pages out of one contiguous arena.
 type File struct {
 	pages    []*page
-	free     []uint32 // swept slot indexes, drained LIFO
+	free     []uint32 // freed slot indexes, drained LIFO
 	frontier int      // slots [0, frontier) have been handed out at least once
 	slots    int      // total capacity across pages
 	used     int      // live slot count
 
 	Allocated uint64
-	Swept     uint64
+	Freed     uint64
 }
 
 // NewFile builds an empty register file.
@@ -88,24 +89,25 @@ func NewFile() *File {
 }
 
 // slot resolves a tag to its page and intra-page index, nil page if the tag
-// is invalid, out of range, stale, or swept.
+// is invalid, out of range, stale, or freed. Freeing a slot moves its
+// generation past every tag issued for it, so the generation check alone
+// rejects freed tags.
 //
 //tracep:noalloc
 func (f *File) slot(t Tag) (*page, uint32) {
-	lo := uint32(t)
-	if lo == 0 || int(lo) > f.frontier {
+	idx := uint32(t) - 1 // the invalid tag wraps past every frontier
+	if int(idx) >= f.frontier {
 		return nil, 0
 	}
-	idx := lo - 1
 	pg := f.pages[idx>>pageBits]
 	s := idx & pageMask
-	if !pg.live[s] || pg.gen[s] != uint32(t>>32) {
+	if pg.gen[s] != uint32(t>>32) {
 		return nil, 0
 	}
 	return pg, s
 }
 
-// Alloc creates a new, not-ready tag.
+// Alloc creates a new, not-ready tag holding one reference, the caller's.
 //
 //tracep:noalloc
 func (f *File) Alloc() Tag {
@@ -125,8 +127,7 @@ func (f *File) Alloc() Tag {
 	pg := f.pages[idx>>pageBits]
 	s := idx & pageMask
 	pg.ents[s] = Entry{}
-	pg.live[s] = true
-	pg.marked[s] = false
+	pg.refs[s] = 1
 	f.used++
 	f.Allocated++
 	return makeTag(idx, pg.gen[s])
@@ -141,7 +142,69 @@ func (f *File) AllocReady(v int64) Tag {
 	return t
 }
 
-// Get returns the entry for t (nil for invalid/swept tags).
+// Retain adds a reference to t. Invalid or stale tags are ignored.
+//
+//tracep:noalloc
+func (f *File) Retain(t Tag) {
+	if pg, s := f.slot(t); pg != nil {
+		pg.refs[s]++
+	}
+}
+
+// Release drops one reference to t. The last release frees the slot: its
+// generation is bumped so t reads as invalid, and the index joins the
+// freelist for reuse. Invalid or stale tags are ignored.
+//
+//tracep:noalloc
+func (f *File) Release(t Tag) {
+	if pg, s := f.slot(t); pg != nil {
+		if pg.refs[s]--; pg.refs[s] == 0 {
+			f.freeSlot(pg, s, uint32(t)-1)
+		}
+	}
+}
+
+// freeSlot bumps slot idx's generation and pushes it on the freelist.
+//
+//tracep:noalloc
+func (f *File) freeSlot(pg *page, s, idx uint32) {
+	pg.gen[s]++
+	//tracep:allow freelist return: freed slots are recycled for Alloc
+	f.free = append(f.free, idx)
+	f.used--
+	f.Freed++
+}
+
+// Set points *dst at t, moving the reference *dst holds: t gains one, the
+// tag *dst named before loses one.
+//
+//tracep:noalloc
+func (f *File) Set(dst *Tag, t Tag) {
+	if *dst != t {
+		f.Retain(t)
+		f.Release(*dst)
+		*dst = t
+	}
+}
+
+// SetMap points every entry of *dst at src's, as Set does.
+//
+//tracep:noalloc
+func (f *File) SetMap(dst, src *Map) {
+	for r := range dst {
+		f.Set(&dst[r], src[r])
+	}
+}
+
+// Refs returns t's reference count, 0 for invalid or stale tags.
+func (f *File) Refs(t Tag) int {
+	if pg, s := f.slot(t); pg != nil {
+		return int(pg.refs[s])
+	}
+	return 0
+}
+
+// Get returns the entry for t (nil for invalid or freed tags).
 //
 //tracep:noalloc
 func (f *File) Get(t Tag) *Entry {
@@ -180,79 +243,25 @@ func (f *File) Unready(t Tag) {
 //tracep:noalloc
 func (f *File) Size() int { return f.used }
 
-// Slots returns the file's slot capacity: every live tag's SlotIndex is
-// strictly below it. Callers size per-slot side tables off this.
+// Slots returns the allocation frontier: every tag ever handed out has a
+// SlotIndex strictly below it. Alloc extends it only when the freelist is
+// empty, so it is the file's peak live tag count.
 //
 //tracep:noalloc
 func (f *File) Slots() int { return f.frontier }
 
-// freeSlot retires slot idx: its generation is bumped so outstanding tags go
-// stale, and the index joins the freelist for reuse.
+// Cap returns the slot capacity of the allocated pages, at least Slots.
+// Per-slot side tables grow to it, so they grow a page at a time.
 //
 //tracep:noalloc
-func (f *File) freeSlot(pg *page, s, idx uint32) {
-	pg.live[s] = false
-	pg.gen[s]++
-	//tracep:allow freelist return: swept slots are recycled for Alloc
-	f.free = append(f.free, idx)
-	f.used--
-	f.Swept++
-}
-
-// Mark flags t as live for the next SweepUnmarked. Invalid or stale tags are
-// ignored. This is the allocation-free way for a caller to run mark/sweep:
-// mark every root, then SweepUnmarked.
-//
-//tracep:noalloc
-func (f *File) Mark(t Tag) {
-	if pg, s := f.slot(t); pg != nil {
-		pg.marked[s] = true
-	}
-}
-
-// SweepUnmarked frees every live slot not marked since the previous sweep
-// and clears the marks, walking slots in index order so the freelist (and
-// with it future tag assignment) is deterministic.
-//
-//tracep:noalloc
-func (f *File) SweepUnmarked() {
-	for i := 0; i < f.frontier; i++ {
-		pg := f.pages[i>>pageBits]
-		s := uint32(i) & pageMask
-		if !pg.live[s] {
-			continue
-		}
-		if pg.marked[s] {
-			pg.marked[s] = false
-			continue
-		}
-		f.freeSlot(pg, s, uint32(i))
-	}
-}
-
-// Sweep removes every tag for which live returns false. The caller marks
-// roots (current maps, per-trace checkpoints, operand references).
-//
-//tracep:noalloc
-func (f *File) Sweep(live func(Tag) bool) {
-	for i := 0; i < f.frontier; i++ {
-		pg := f.pages[i>>pageBits]
-		s := uint32(i) & pageMask
-		if !pg.live[s] {
-			continue
-		}
-		//tracep:allow the live predicate is the caller's mark-set lookup, alloc-free
-		if !live(makeTag(uint32(i), pg.gen[s])) {
-			f.freeSlot(pg, s, uint32(i))
-		}
-	}
-}
+func (f *File) Cap() int { return f.slots }
 
 // Clone returns a deep copy of the register file: pages are block-copied
 // into one contiguous arena, so writes through one file never reach the
-// other. Tag identity (slot numbering, generations and the freelist) is
-// preserved, which keeps rename maps captured alongside the file valid
-// against the clone and makes both files hand out identical future tags.
+// other. Tag identity (slot numbering, generations, reference counts and
+// the freelist) is preserved, which keeps rename maps captured alongside
+// the file valid against the clone and makes both files hand out identical
+// future tags.
 func (f *File) Clone() *File {
 	c := &File{
 		pages:     make([]*page, len(f.pages)),
@@ -261,7 +270,7 @@ func (f *File) Clone() *File {
 		slots:     f.slots,
 		used:      f.used,
 		Allocated: f.Allocated,
-		Swept:     f.Swept,
+		Freed:     f.Freed,
 	}
 	arena := make([]page, len(f.pages))
 	for i, pg := range f.pages {
@@ -272,7 +281,8 @@ func (f *File) Clone() *File {
 }
 
 // InitialMap seeds a map with fresh ready tags holding zero for every
-// architectural register, matching a zeroed machine at reset.
+// architectural register, matching a zeroed machine at reset. The map holds
+// each tag's one reference.
 func InitialMap(f *File) Map {
 	var zero [isa.NumRegs]int64
 	return MapFrom(f, &zero)

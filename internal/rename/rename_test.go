@@ -76,19 +76,56 @@ func TestTagsAreUnique(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
+// TestRetainRelease pins the reference-counted lifetime: a slot survives
+// until its last reference drops, the freeing release bumps its generation
+// so the old tag reads as invalid, and freed slots are reused LIFO.
+func TestRetainRelease(t *testing.T) {
 	f := NewFile()
-	keep := f.AllocReady(1)
-	drop := f.AllocReady(2)
-	f.Sweep(func(tag Tag) bool { return tag == keep })
-	if f.Get(keep) == nil {
-		t.Error("live tag swept")
+	a := f.AllocReady(1)
+	b := f.AllocReady(2)
+	if f.Refs(a) != 1 {
+		t.Fatalf("fresh tag refs = %d, want 1", f.Refs(a))
 	}
-	if f.Get(drop) != nil {
-		t.Error("dead tag survived sweep")
+	f.Retain(a)
+	f.Release(a)
+	if e := f.Get(a); e == nil || e.Val != 1 {
+		t.Fatal("tag freed while still referenced")
 	}
-	if f.Swept != 1 || f.Size() != 1 {
-		t.Errorf("swept=%d size=%d, want 1, 1", f.Swept, f.Size())
+	f.Release(a)
+	f.Release(b)
+	if f.Get(a) != nil || f.Get(b) != nil || f.Refs(a) != 0 {
+		t.Fatal("stale tag still resolves after its last release")
+	}
+	if f.Size() != 0 || f.Freed != 2 {
+		t.Errorf("size=%d freed=%d, want 0, 2", f.Size(), f.Freed)
+	}
+	f.Release(a) // stale releases are ignored
+	f.Retain(a)
+	if f.Size() != 0 {
+		t.Error("stale Retain/Release touched the file")
+	}
+
+	// LIFO reuse: b's slot (freed last) comes back first, with a bumped
+	// generation, then a's; the frontier does not move.
+	nb, na := f.Alloc(), f.Alloc()
+	if SlotIndex(nb) != SlotIndex(b) || SlotIndex(na) != SlotIndex(a) {
+		t.Errorf("reuse order: got slots %d,%d, want %d,%d", SlotIndex(nb), SlotIndex(na), SlotIndex(b), SlotIndex(a))
+	}
+	if nb == b || na == a {
+		t.Error("reused slot kept its generation")
+	}
+	if f.Get(b) != nil || f.Get(nb) == nil {
+		t.Error("stale tag resolves to its slot's new occupant")
+	}
+	if f.Slots() != 2 {
+		t.Errorf("frontier = %d, want 2", f.Slots())
+	}
+
+	// Set moves a reference: the new tag gains one, the old loses one.
+	m := Map{1: na}
+	f.Set(&m[1], nb)
+	if f.Get(na) != nil || f.Refs(nb) != 2 || m[1] != nb {
+		t.Errorf("Set: old refs %d, new refs %d", f.Refs(na), f.Refs(nb))
 	}
 }
 

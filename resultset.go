@@ -338,16 +338,6 @@ func (r *ResultSet) HarmonicMeanIPC(model string) (float64, bool) {
 	return report.HarmonicMeanIPC(r, model)
 }
 
-// HarmonicMeanIPCOrZero returns HarmonicMeanIPC's value, 0 when no cell
-// contributed.
-//
-// Deprecated: it predates the (value, ok) shape and cannot distinguish an
-// unknown model from a genuine zero; use HarmonicMeanIPC.
-func (r *ResultSet) HarmonicMeanIPCOrZero(model string) float64 {
-	v, _ := r.HarmonicMeanIPC(model)
-	return v
-}
-
 // Improvement returns the % IPC improvement of model over base for bench,
 // comparing per-cell mean IPCs.
 func (r *ResultSet) Improvement(bench, model, base string) (float64, bool) {
