@@ -2,7 +2,7 @@
 // go vet-style multichecker enforcing, at the source level, the invariants
 // the test suite otherwise only catches at runtime — the zero-allocation
 // cycle loop, byte-identical (order-deterministic) sweeps, snapshot
-// completeness of Clone/ResetStats, and explicit wire-format tags.
+// completeness of CopyFrom/ResetStats/reset, and explicit wire-format tags.
 //
 // Usage:
 //

@@ -35,6 +35,10 @@ func TestStatsCompleteAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata", []string{"./src/statscomplete"}, single(lint.StatsComplete()))
 }
 
+func TestResetCompleteAnalyzer(t *testing.T) {
+	analysistest.Run(t, "testdata", []string{"./src/resetcomplete"}, single(lint.ResetComplete()))
+}
+
 func TestWireJSONAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata", []string{"./src/wirejson"}, single(lint.WireJSON()))
 }

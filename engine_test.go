@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
 	"tracep"
+	"tracep/internal/proc"
 )
 
 // ciBaselineSweep reproduces exactly the sweep CI's regression job runs
@@ -76,10 +78,10 @@ func TestPooledEngineByteIdentity(t *testing.T) {
 }
 
 // TestPooledEngineSnapshotRestoreIdentity exercises pool reuse across the
-// snapshot boundary: a processor restored from a warm-up checkpoint builds
-// fresh pools over cloned state, so two restores from one snapshot — and a
-// session running the same warm-up itself — must agree byte for byte, run
-// after run.
+// snapshot boundary: a processor restored from a warm-up checkpoint resets
+// its pools over state copied out of the snapshot, so two restores from one
+// snapshot — and a session running the same warm-up itself — must agree
+// byte for byte, run after run.
 func TestPooledEngineSnapshotRestoreIdentity(t *testing.T) {
 	bm, err := tracep.BenchmarkByName("compress")
 	if err != nil {
@@ -109,7 +111,7 @@ func TestPooledEngineSnapshotRestoreIdentity(t *testing.T) {
 
 	restored := tracep.NewFromSnapshot(snap, tracep.WithModel(tracep.ModelFGMLBRET))
 	first := run(restored)
-	second := run(restored) // same session: pools rebuilt per Run
+	second := run(restored) // same session: an engine reset in place per Run
 	other := run(tracep.NewFromSnapshot(snap, tracep.WithModel(tracep.ModelFGMLBRET)))
 	if !bytes.Equal(first, second) || !bytes.Equal(first, other) {
 		t.Fatal("restored runs from one snapshot diverged")
@@ -119,6 +121,69 @@ func TestPooledEngineSnapshotRestoreIdentity(t *testing.T) {
 		tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithWarmup(warm)))
 	if !bytes.Equal(first, warmSelf) {
 		t.Fatal("snapshot restore diverged from an equivalent in-session warm-up")
+	}
+}
+
+// TestSweepReusedEnginesMatchFresh: sweep workers run cell after cell on
+// pooled engines reset in place. A warmed, seeded sweep over the whole
+// suite, serial and on four workers, must be byte-identical to running
+// every cell on a freshly built processor.
+func TestSweepReusedEnginesMatchFresh(t *testing.T) {
+	const target, warm = 6000, 2000
+	seeds := []int64{1, 2}
+	ctx := context.Background()
+	benches, models := tracep.Benchmarks(), tracep.Models()
+
+	fresh := make(map[string][]byte)
+	for _, bm := range benches {
+		prog := bm.Build(bm.ScaleFor(target))
+		for _, seed := range seeds {
+			cfg := tracep.DefaultConfig()
+			cfg.Seed = seed
+			snap, err := proc.CaptureSnapshot(ctx, prog, cfg, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range models {
+				p, err := proc.NewFromSnapshot(snap, m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := p.Run(0)
+				if err != nil {
+					t.Fatalf("%s/%s/%d: %v", bm.Name, m.Name, seed, err)
+				}
+				j, err := json.Marshal(&tracep.Result{Benchmark: bm.Name, Model: m.Name, Seed: seed, Stats: stats})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[fmt.Sprint(bm.Name, m.Name, seed)] = j
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		sw := tracep.Sweep{Benchmarks: benches, Models: models, TargetInsts: target,
+			Warmup: warm, Seeds: seeds, Parallelism: workers}
+		rs, err := sw.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Len() != len(fresh) {
+			t.Fatalf("j=%d: %d cells, want %d", workers, rs.Len(), len(fresh))
+		}
+		for _, res := range rs.Results() {
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fresh[fmt.Sprint(res.Benchmark, res.Model, res.Seed)]; !bytes.Equal(got, want) {
+				t.Fatalf("j=%d: pooled cell diverges from a fresh processor\npooled: %s\nfresh:  %s", workers, got, want)
+			}
+		}
 	}
 }
 

@@ -50,8 +50,20 @@ type ARB struct {
 }
 
 // New builds an empty ARB.
-func New() *ARB {
-	return &ARB{byAddr: make(map[uint32][]version)}
+func New() *ARB { return new(ARB).Reset() }
+
+// Reset empties the ARB in place, recycling every buffered version list
+// into the pool, zeroes its counters and returns a.
+func (a *ARB) Reset() *ARB {
+	if a.byAddr == nil {
+		a.byAddr = make(map[uint32][]version)
+	}
+	for _, vs := range a.byAddr { //tracep:orderinvariant pool order only decides which list's storage a later store reuses
+		a.recycle(vs)
+	}
+	clear(a.byAddr)
+	a.Stores, a.Undos, a.Commits = 0, 0, 0
+	return a
 }
 
 // recycle returns an emptied version list to the pool.

@@ -9,6 +9,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 
 	"tracep/internal/isa"
 )
@@ -47,19 +48,24 @@ type Predictor struct {
 }
 
 // New builds a predictor. Entries must be a power of two.
-func New(cfg Config) *Predictor {
+func New(cfg Config) *Predictor { return new(Predictor).Reset(cfg) }
+
+// Reset re-initialises the predictor in place into the state New(cfg)
+// builds, reusing its tables when their capacity fits, and returns p.
+func (p *Predictor) Reset(cfg Config) *Predictor {
 	if cfg.Entries <= 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.Entries&(cfg.Entries-1) != 0 {
 		panic("bpred: Entries must be a power of two")
 	}
-	p := &Predictor{
-		cfg:    cfg,
-		mask:   uint32(cfg.Entries - 1),
-		ctr:    make([]uint8, cfg.Entries),
-		target: make([]uint32, cfg.Entries),
-	}
+	p.cfg = cfg
+	p.mask = uint32(cfg.Entries - 1)
+	p.ctr = slices.Grow(p.ctr[:0], cfg.Entries)[:cfg.Entries]
+	p.target = slices.Grow(p.target[:0], cfg.Entries)[:cfg.Entries]
+	clear(p.target)
+	p.ras = p.ras[:0]
+	p.Lookups = 0
 	if cfg.Seed != 0 {
 		x := uint64(cfg.Seed)
 		nextRand := func() uint64 {
@@ -90,17 +96,19 @@ func New(cfg Config) *Predictor {
 }
 
 // Clone returns a deep copy of the predictor — counters, targets and the
-// return-address stack — so a warmed predictor captured in a snapshot can be
-// restored into many independent simulations.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:     p.cfg,
-		mask:    p.mask,
-		ctr:     append([]uint8(nil), p.ctr...),
-		target:  append([]uint32(nil), p.target...),
-		ras:     append([]uint32(nil), p.ras...),
-		Lookups: p.Lookups,
-	}
+// return-address stack.
+func (p *Predictor) Clone() *Predictor { return new(Predictor).CopyFrom(p) }
+
+// CopyFrom overwrites p with a deep copy of src, reusing p's tables, and
+// returns p, so a warmed predictor captured in a snapshot can be restored
+// into many independent simulations.
+func (p *Predictor) CopyFrom(src *Predictor) *Predictor {
+	p.cfg, p.mask = src.cfg, src.mask
+	p.ctr = append(p.ctr[:0], src.ctr...)
+	p.target = append(p.target[:0], src.target...)
+	p.ras = append(p.ras[:0], src.ras...)
+	p.Lookups = src.Lookups
+	return p
 }
 
 // ResetStats zeroes the lookup counter, keeping the trained state.

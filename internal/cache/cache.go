@@ -4,7 +4,10 @@
 // only; data contents live elsewhere (memory, ARB, trace store).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SetAssoc is a set-associative cache with true-LRU replacement, keyed by an
 // opaque uint64 line key (callers shift addresses to line granularity or hash
@@ -27,40 +30,50 @@ type SetAssoc struct {
 
 // NewSetAssoc builds a cache with the given number of sets (power of two)
 // and associativity.
-func NewSetAssoc(sets, assoc int) *SetAssoc {
+func NewSetAssoc(sets, assoc int) *SetAssoc { return new(SetAssoc).Reset(sets, assoc) }
+
+// Reset empties the cache in place into the state NewSetAssoc(sets, assoc)
+// builds, reusing the tag, valid and LRU arrays when their capacity fits
+// the new geometry, and returns c.
+func (c *SetAssoc) Reset(sets, assoc int) *SetAssoc {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("cache: assoc must be positive")
 	}
-	c := &SetAssoc{sets: sets, assoc: assoc}
 	n := sets * assoc
-	c.tags = make([]uint64, n)
-	c.valid = make([]bool, n)
-	c.lru = make([]uint8, n)
+	c.sets, c.assoc = sets, assoc
+	c.tags = slices.Grow(c.tags[:0], n)[:n]
+	c.valid = slices.Grow(c.valid[:0], n)[:n]
+	c.lru = slices.Grow(c.lru[:0], n)[:n]
+	clear(c.tags)
+	clear(c.valid)
 	for i := 0; i < sets; i++ {
 		for w := 0; w < assoc; w++ {
 			c.lru[i*assoc+w] = uint8(w)
 		}
 	}
+	c.Accesses, c.Misses = 0, 0
 	return c
 }
 
 // Clone returns a deep copy of the cache — tag, valid and LRU arrays plus
-// the access counters — sharing nothing mutable with the receiver. It is the
-// building block for warm-up snapshots: a captured cache is cloned on every
-// restore so concurrent simulations forked from one snapshot cannot perturb
-// each other.
-func (c *SetAssoc) Clone() *SetAssoc {
-	n := &SetAssoc{
-		sets: c.sets, assoc: c.assoc,
-		Accesses: c.Accesses, Misses: c.Misses,
-	}
-	n.tags = append([]uint64(nil), c.tags...)
-	n.valid = append([]bool(nil), c.valid...)
-	n.lru = append([]uint8(nil), c.lru...)
-	return n
+// the access counters — sharing nothing mutable with the receiver.
+func (c *SetAssoc) Clone() *SetAssoc { return new(SetAssoc).CopyFrom(c) }
+
+// CopyFrom overwrites c with a deep copy of src, reusing c's arrays when
+// their capacity fits, and returns c. It is the building block for
+// warm-up snapshots: a captured cache is copied on every restore so
+// concurrent simulations forked from one snapshot cannot perturb each
+// other.
+func (c *SetAssoc) CopyFrom(src *SetAssoc) *SetAssoc {
+	c.sets, c.assoc = src.sets, src.assoc
+	c.tags = append(c.tags[:0], src.tags...)
+	c.valid = append(c.valid[:0], src.valid...)
+	c.lru = append(c.lru[:0], src.lru...)
+	c.Accesses, c.Misses = src.Accesses, src.Misses
+	return c
 }
 
 // ResetStats zeroes the access counters, keeping the array contents. Used
@@ -250,7 +263,7 @@ func (c *SetAssoc) MissRate() float64 {
 // ICache models the instruction cache: 64 kB, 4-way, 16-instruction lines,
 // 12-cycle miss penalty (Table 1). Addresses are instruction indices.
 type ICache struct {
-	c           *SetAssoc
+	c           SetAssoc
 	lineShift   uint //tracep:nostats configuration
 	MissPenalty int  //tracep:nostats configuration
 }
@@ -269,17 +282,28 @@ func DefaultICacheConfig() ICacheConfig {
 }
 
 // NewICache builds the instruction cache.
-func NewICache(cfg ICacheConfig) *ICache {
+func NewICache(cfg ICacheConfig) *ICache { return new(ICache).Reset(cfg) }
+
+// Reset empties the instruction cache in place into the state
+// NewICache(cfg) builds, reusing its arrays where they fit, and returns ic.
+func (ic *ICache) Reset(cfg ICacheConfig) *ICache {
 	if cfg.SizeInsts == 0 {
 		cfg = DefaultICacheConfig()
 	}
 	lines := cfg.SizeInsts / cfg.LineInsts
-	sets := lines / cfg.Assoc
-	shift := uint(0)
-	for 1<<shift < cfg.LineInsts {
-		shift++
+	ic.c.Reset(lines/cfg.Assoc, cfg.Assoc)
+	ic.lineShift = log2(cfg.LineInsts)
+	ic.MissPenalty = cfg.MissPenalty
+	return ic
+}
+
+// log2 returns the smallest shift s with 1<<s >= n.
+func log2(n int) uint {
+	s := uint(0)
+	for 1<<s < n {
+		s++
 	}
-	return &ICache{c: NewSetAssoc(sets, cfg.Assoc), lineShift: shift, MissPenalty: cfg.MissPenalty}
+	return s
 }
 
 // Fetch accesses the line containing pc and returns the access latency in
@@ -305,11 +329,17 @@ func (ic *ICache) SameLine(a, b uint32) bool {
 func (ic *ICache) Stats() (accesses, misses uint64) { return ic.c.Accesses, ic.c.Misses }
 
 // State exposes the underlying set-associative array for serialisation.
-func (ic *ICache) State() *SetAssoc { return ic.c }
+func (ic *ICache) State() *SetAssoc { return &ic.c }
 
 // Clone returns a deep copy of the instruction cache.
-func (ic *ICache) Clone() *ICache {
-	return &ICache{c: ic.c.Clone(), lineShift: ic.lineShift, MissPenalty: ic.MissPenalty}
+func (ic *ICache) Clone() *ICache { return new(ICache).CopyFrom(ic) }
+
+// CopyFrom overwrites ic with a deep copy of src, reusing ic's arrays, and
+// returns ic.
+func (ic *ICache) CopyFrom(src *ICache) *ICache {
+	ic.c.CopyFrom(&src.c)
+	ic.lineShift, ic.MissPenalty = src.lineShift, src.MissPenalty
+	return ic
 }
 
 // ResetStats zeroes the access counters, keeping the warmed lines.
@@ -318,7 +348,7 @@ func (ic *ICache) ResetStats() { ic.c.ResetStats() }
 // DCache models the data cache: 64 kB, 4-way, 64-byte (8-word) lines,
 // 14-cycle miss penalty (Table 1). Addresses are data-word addresses.
 type DCache struct {
-	c           *SetAssoc
+	c           SetAssoc
 	lineShift   uint //tracep:nostats configuration
 	MissPenalty int  //tracep:nostats configuration
 	HitLatency  int  //tracep:nostats configuration
@@ -340,20 +370,19 @@ func DefaultDCacheConfig() DCacheConfig {
 }
 
 // NewDCache builds the data cache.
-func NewDCache(cfg DCacheConfig) *DCache {
+func NewDCache(cfg DCacheConfig) *DCache { return new(DCache).Reset(cfg) }
+
+// Reset empties the data cache in place into the state NewDCache(cfg)
+// builds, reusing its arrays where they fit, and returns dc.
+func (dc *DCache) Reset(cfg DCacheConfig) *DCache {
 	if cfg.SizeWords == 0 {
 		cfg = DefaultDCacheConfig()
 	}
 	lines := cfg.SizeWords / cfg.LineWords
-	sets := lines / cfg.Assoc
-	shift := uint(0)
-	for 1<<shift < cfg.LineWords {
-		shift++
-	}
-	return &DCache{
-		c: NewSetAssoc(sets, cfg.Assoc), lineShift: shift,
-		MissPenalty: cfg.MissPenalty, HitLatency: cfg.HitLatency,
-	}
+	dc.c.Reset(lines/cfg.Assoc, cfg.Assoc)
+	dc.lineShift = log2(cfg.LineWords)
+	dc.MissPenalty, dc.HitLatency = cfg.MissPenalty, cfg.HitLatency
+	return dc
 }
 
 // Access touches the line containing addr and returns total access latency
@@ -371,14 +400,18 @@ func (dc *DCache) Access(addr uint32) int {
 func (dc *DCache) Stats() (accesses, misses uint64) { return dc.c.Accesses, dc.c.Misses }
 
 // State exposes the underlying set-associative array for serialisation.
-func (dc *DCache) State() *SetAssoc { return dc.c }
+func (dc *DCache) State() *SetAssoc { return &dc.c }
 
 // Clone returns a deep copy of the data cache.
-func (dc *DCache) Clone() *DCache {
-	return &DCache{
-		c: dc.c.Clone(), lineShift: dc.lineShift,
-		MissPenalty: dc.MissPenalty, HitLatency: dc.HitLatency,
-	}
+func (dc *DCache) Clone() *DCache { return new(DCache).CopyFrom(dc) }
+
+// CopyFrom overwrites dc with a deep copy of src, reusing dc's arrays, and
+// returns dc.
+func (dc *DCache) CopyFrom(src *DCache) *DCache {
+	dc.c.CopyFrom(&src.c)
+	dc.lineShift = src.lineShift
+	dc.MissPenalty, dc.HitLatency = src.MissPenalty, src.HitLatency
+	return dc
 }
 
 // ResetStats zeroes the access counters, keeping the warmed lines.

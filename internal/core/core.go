@@ -230,7 +230,7 @@ func DefaultBITConfig() BITConfig {
 // its scan latency.
 type BIT struct {
 	cfg    BITConfig //tracep:nostats configuration
-	timing *cache.SetAssoc
+	timing cache.SetAssoc
 	// results memoises the (pure) analysis so a re-fill after eviction
 	// recomputes timing cost but not the analysis itself.
 	results map[uint32]Region //tracep:nostats memoised analysis, not a counter
@@ -241,17 +241,24 @@ type BIT struct {
 }
 
 // NewBIT builds a BIT over prog.
-func NewBIT(prog *isa.Program, cfg BITConfig) *BIT {
+func NewBIT(prog *isa.Program, cfg BITConfig) *BIT { return new(BIT).Reset(prog, cfg) }
+
+// Reset re-initialises the BIT in place into the state NewBIT(prog, cfg)
+// builds — empty table, empty memo, zero counters — reusing its arrays and
+// memo storage, and returns b.
+func (b *BIT) Reset(prog *isa.Program, cfg BITConfig) *BIT {
 	if cfg.Entries == 0 {
 		cfg = DefaultBITConfig()
 	}
-	sets := cfg.Entries / cfg.Assoc
-	return &BIT{
-		cfg:     cfg,
-		timing:  cache.NewSetAssoc(sets, cfg.Assoc),
-		results: make(map[uint32]Region),
-		prog:    prog,
+	b.cfg = cfg
+	b.timing.Reset(cfg.Entries/cfg.Assoc, cfg.Assoc)
+	if b.results == nil {
+		b.results = make(map[uint32]Region)
 	}
+	clear(b.results)
+	b.prog = prog
+	b.Lookups, b.MissCycles = 0, 0
+	return b
 }
 
 // Lookup returns the region information for the forward conditional branch
@@ -283,19 +290,23 @@ func (b *BIT) Misses() uint64 { return b.timing.Misses }
 // Clone returns a deep copy of the BIT: timing array, memoised analysis
 // results and counters. The program is shared (immutable); Region values are
 // copied by value.
-func (b *BIT) Clone() *BIT {
-	n := &BIT{
-		cfg:        b.cfg,
-		timing:     b.timing.Clone(),
-		results:    make(map[uint32]Region, len(b.results)),
-		prog:       b.prog,
-		Lookups:    b.Lookups,
-		MissCycles: b.MissCycles,
+func (b *BIT) Clone() *BIT { return new(BIT).CopyFrom(b) }
+
+// CopyFrom overwrites b with a deep copy of src, reusing b's arrays and memo
+// storage, and returns b.
+func (b *BIT) CopyFrom(src *BIT) *BIT {
+	b.cfg = src.cfg
+	b.timing.CopyFrom(&src.timing)
+	if b.results == nil {
+		b.results = make(map[uint32]Region, len(src.results))
 	}
-	for pc, reg := range b.results { //tracep:orderinvariant map-to-map copy
-		n.results[pc] = reg
+	clear(b.results)
+	for pc, reg := range src.results { //tracep:orderinvariant map-to-map copy
+		b.results[pc] = reg
 	}
-	return n
+	b.prog = src.prog
+	b.Lookups, b.MissCycles = src.Lookups, src.MissCycles
+	return b
 }
 
 // Timing exposes the BIT's set-associative residency array for
@@ -303,7 +314,7 @@ func (b *BIT) Clone() *BIT {
 // serialised state: AnalyzeRegion is a pure function of the program, so a
 // deserialised BIT with an empty memo recomputes identical Regions on
 // demand, and the timing behaviour depends only on the residency array.
-func (b *BIT) Timing() *cache.SetAssoc { return b.timing }
+func (b *BIT) Timing() *cache.SetAssoc { return &b.timing }
 
 // ResetStats zeroes the lookup and miss-cycle counters (including the timing
 // array's), keeping the warmed entries and memoised analyses.

@@ -42,23 +42,42 @@ type Emulator struct {
 
 // New builds an emulator with a fresh memory initialised from the program's
 // data image.
-func New(prog *isa.Program) *Emulator {
-	return &Emulator{Prog: prog, Mem: isa.NewMemory(prog), PC: prog.Entry}
+func New(prog *isa.Program) *Emulator { return new(Emulator).Reset(prog) }
+
+// Reset returns the emulator in place to the state New(prog) builds,
+// reusing its memory's pages, and returns e.
+func (e *Emulator) Reset(prog *isa.Program) *Emulator {
+	if e.Mem == nil {
+		e.Mem = new(isa.Memory)
+	}
+	e.Mem.Reset(prog)
+	e.Prog = prog
+	e.Regs = [isa.NumRegs]int64{}
+	e.PC = prog.Entry
+	e.Halted = false
+	e.Count = 0
+	return e
 }
 
 // Clone returns a deep copy of the emulator: registers, PC and a private
-// copy of memory. The program is shared (it is immutable). A snapshot's
-// architectural state is an emulator; restoring clones it so the oracle of
-// one restored simulation cannot disturb another's.
-func (e *Emulator) Clone() *Emulator {
-	return &Emulator{
-		Prog:   e.Prog,
-		Mem:    e.Mem.Clone(),
-		Regs:   e.Regs,
-		PC:     e.PC,
-		Halted: e.Halted,
-		Count:  e.Count,
+// copy of memory. The program is shared (it is immutable).
+func (e *Emulator) Clone() *Emulator { return new(Emulator).CopyFrom(e) }
+
+// CopyFrom overwrites e with a deep copy of src, reusing e's memory pages,
+// and returns e. A snapshot's architectural state is an emulator; restoring
+// copies it so the oracle of one restored simulation cannot disturb
+// another's.
+func (e *Emulator) CopyFrom(src *Emulator) *Emulator {
+	if e.Mem == nil {
+		e.Mem = new(isa.Memory)
 	}
+	e.Mem.CopyFrom(src.Mem)
+	e.Prog = src.Prog
+	e.Regs = src.Regs
+	e.PC = src.PC
+	e.Halted = src.Halted
+	e.Count = src.Count
+	return e
 }
 
 // rd reads register r architecturally (R0 reads as zero).

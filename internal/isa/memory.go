@@ -19,8 +19,18 @@ type page [pageWords]int64
 
 // NewMemory builds an empty memory, optionally pre-loading the initial data
 // image from prog.
-func NewMemory(prog *Program) *Memory {
-	m := &Memory{pages: make(map[uint32]*page)}
+func NewMemory(prog *Program) *Memory { return new(Memory).Reset(prog) }
+
+// Reset returns the memory in place to the state NewMemory(prog) builds and
+// returns m. Pages already faulted in are kept, zeroed, for reuse: an
+// all-zero page reads exactly like an absent one.
+func (m *Memory) Reset(prog *Program) *Memory {
+	if m.pages == nil {
+		m.pages = make(map[uint32]*page)
+	}
+	for _, p := range m.pages { //tracep:orderinvariant independent page clears
+		*p = page{}
+	}
 	if prog != nil {
 		for addr, v := range prog.Data { //tracep:orderinvariant keyed writes commute
 			m.Write(addr, v)
@@ -83,11 +93,27 @@ func (m *Memory) DumpWords() (addrs []uint32, vals []int64) {
 
 // Clone returns a deep copy, used to give the architectural oracle and the
 // timing model independent memories initialised from the same image.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: make(map[uint32]*page, len(m.pages))}
-	for idx, p := range m.pages { //tracep:orderinvariant map-to-map copy
-		np := *p
-		c.pages[idx] = &np
+func (m *Memory) Clone() *Memory { return new(Memory).CopyFrom(m) }
+
+// CopyFrom overwrites m with a deep copy of src and returns m. Pages m
+// already holds are reused: those src lacks are zeroed, the rest are
+// overwritten with src's contents.
+func (m *Memory) CopyFrom(src *Memory) *Memory {
+	if m.pages == nil {
+		m.pages = make(map[uint32]*page, len(src.pages))
 	}
-	return c
+	for idx, p := range m.pages { //tracep:orderinvariant independent page clears
+		if _, ok := src.pages[idx]; !ok {
+			*p = page{}
+		}
+	}
+	for idx, sp := range src.pages { //tracep:orderinvariant map-to-map copy
+		if p, ok := m.pages[idx]; ok {
+			*p = *sp
+		} else {
+			np := *sp
+			m.pages[idx] = &np
+		}
+	}
+	return m
 }

@@ -9,16 +9,18 @@ import (
 	"tracep/internal/analysis"
 )
 
-// CloneComplete returns the analyzer that keeps Clone methods in sync with
-// their structs: warm-up snapshots (proc.Snapshot) deep-clone nine
-// state-bearing packages, and a struct field added without a corresponding
-// line in Clone silently forks shared state between snapshot-restored runs —
-// historically only caught when byte-identity broke. The method must mention
-// every field of the receiver struct (a whole-struct copy such as `out := *c`
-// mentions all of them); fields that are deliberately not cloned (recycling
-// pools, scratch buffers) are marked //tracep:noclone.
+// CloneComplete returns the analyzer that keeps CopyFrom methods in sync
+// with their structs: warm-up snapshot restores (proc.Snapshot) copy the
+// state-bearing packages field by field, and a struct field added without a
+// corresponding line in CopyFrom silently forks shared state between
+// snapshot-restored runs — historically only caught when byte-identity
+// broke. Clone methods are wrappers over CopyFrom, so CopyFrom is where the
+// contract lives. The method must mention every field of the receiver
+// struct (a whole-struct copy such as `*c = *src` mentions all of them);
+// fields that are deliberately not copied (recycling pools, scratch
+// buffers) are marked //tracep:noclone.
 func CloneComplete() *analysis.Analyzer {
-	return methodCoverage("clonecomplete", "Clone", "noclone")
+	return methodCoverage("clonecomplete", "CopyFrom", "noclone")
 }
 
 // StatsComplete is the same contract for ResetStats: every field is either
@@ -28,6 +30,16 @@ func CloneComplete() *analysis.Analyzer {
 // measured-region statistic.
 func StatsComplete() *analysis.Analyzer {
 	return methodCoverage("statscomplete", "ResetStats", "nostats")
+}
+
+// ResetComplete is the same contract for reset methods, which re-initialise
+// a reused value in place: proc.Processor's reset is the one construction
+// path of every engine, fresh or pooled, so a field it misses leaks state
+// from one cell into the next. Every field is mentioned or marked
+// //tracep:keep, which is reserved for arenas deliberately retained across
+// resets.
+func ResetComplete() *analysis.Analyzer {
+	return methodCoverage("resetcomplete", "reset", "keep")
 }
 
 func methodCoverage(name, method, exemptDirective string) *analysis.Analyzer {

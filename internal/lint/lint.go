@@ -9,10 +9,14 @@
 //   - maprange: map iteration in non-test code is an error unless the loop
 //     is marked //tracep:orderinvariant, guarding byte-identity of sweeps
 //     against ci-baseline.json.
-//   - clonecomplete / statscomplete: Clone and ResetStats methods must
+//   - clonecomplete / statscomplete: CopyFrom and ResetStats methods must
 //     mention every field of their receiver struct (or the field is marked
 //     //tracep:noclone / //tracep:nostats), so new state cannot silently
-//     miss the PR-4 snapshot machinery.
+//     miss the snapshot machinery.
+//   - resetcomplete: the same contract for reset methods — above all
+//     proc.Processor's, the one construction path of a reused engine —
+//     with //tracep:keep marking arenas deliberately retained across
+//     resets.
 //   - wirejson: in a struct that carries any json tag, every exported field
 //     must carry one, keeping the server/client wire format explicit.
 //   - directive: every //tracep: comment must be well-formed and known.
@@ -24,6 +28,7 @@
 //	//tracep:orderinvariant [reason]      (this line and the next)
 //	//tracep:noclone [reason]             (struct field doc or trailing)
 //	//tracep:nostats [reason]             (struct field doc or trailing)
+//	//tracep:keep [reason]                (struct field doc or trailing)
 package lint
 
 import (
@@ -140,6 +145,7 @@ func Analyzers(w *World) []*analysis.Analyzer {
 		MapRange(),
 		CloneComplete(),
 		StatsComplete(),
+		ResetComplete(),
 		WireJSON(),
 		Directive(),
 	}
@@ -225,7 +231,7 @@ func Directive() *analysis.Analyzer {
 	}
 	known := map[string]bool{
 		"noalloc": true, "allow": true, "orderinvariant": true,
-		"noclone": true, "nostats": true,
+		"noclone": true, "nostats": true, "keep": true,
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
@@ -236,7 +242,7 @@ func Directive() *analysis.Analyzer {
 						continue
 					}
 					if !known[d.name] {
-						pass.Reportf(c.Pos(), "unknown directive %q (known: allow, noalloc, noclone, nostats, orderinvariant)", prefix+d.name)
+						pass.Reportf(c.Pos(), "unknown directive %q (known: allow, keep, noalloc, noclone, nostats, orderinvariant)", prefix+d.name)
 						continue
 					}
 					if d.name == "allow" && d.args == "" {

@@ -37,13 +37,21 @@ type frontend struct {
 	jobs      entryRing
 	jobDoneAt int64
 
-	pool     []*fetchEntry // recycled fetch entries
-	outcomes []bool        // descriptor-outcome expansion scratch
+	pool     []*fetchEntry //tracep:keep recycled fetch entries
+	outcomes []bool        //tracep:keep descriptor-outcome expansion scratch
 }
 
-func (fe *frontend) init(numPEs int) {
-	fe.queue.init(numPEs)
-	fe.jobs.init(numPEs)
+// reset empties the outstanding trace buffers — recycling their entries —
+// and points fetch at pc.
+func (fe *frontend) reset(numPEs int, pc uint32) {
+	for fe.queue.len() > 0 {
+		fe.putEntry(fe.queue.pop()) // every job entry is also a queue entry
+	}
+	fe.queue.reset(numPEs)
+	fe.jobs.reset(numPEs)
+	fe.expectedPC = pc
+	fe.waitIndirect, fe.stopped = false, false
+	fe.jobDoneAt = 0
 }
 
 // getEntry takes a cleared fetch entry from the pool (or the heap).
@@ -87,11 +95,16 @@ type entryRing struct {
 	head, n int
 }
 
-func (r *entryRing) init(capacity int) {
+// reset empties the ring, keeping its buffer when it holds capacity
+// entries.
+func (r *entryRing) reset(capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r.buf = make([]*fetchEntry, capacity)
+	if len(r.buf) < capacity {
+		r.buf = make([]*fetchEntry, capacity)
+	}
+	clear(r.buf)
 	r.head, r.n = 0, 0
 }
 

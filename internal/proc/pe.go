@@ -175,18 +175,28 @@ type peState struct {
 	dispatchedAt int64
 }
 
-// initPool sizes the PE's instruction arena for traces up to maxLen
-// instructions and wires the permanent slot pointers.
-func (pe *peState) initPool(maxLen int) {
-	pe.pool = make([]instState, maxLen)
-	pe.ptrs = make([]*instState, maxLen)
-	pe.cold = make([]instCold, maxLen)
-	for i := range pe.pool {
-		pe.pool[i].pe = pe
-		pe.pool[i].slot = i
-		pe.ptrs[i] = &pe.pool[i]
+// reset returns the PE to the free list's empty state under id, keeping
+// its instruction arena when that already holds maxLen slots. Generations
+// advance rather than restart, so nothing recorded against the previous
+// run can match a slot again; the slots' tags are dropped without release,
+// because the register file they named has been reset.
+func (pe *peState) reset(id, maxLen int) {
+	if len(pe.ptrs) < maxLen {
+		pe.pool = make([]instState, maxLen)
+		pe.ptrs = make([]*instState, maxLen)
+		pe.cold = make([]instCold, maxLen)
+		for i := range pe.pool {
+			pe.ptrs[i] = &pe.pool[i]
+		}
 	}
-	pe.insts = pe.ptrs[:0]
+	for i, st := range pe.ptrs {
+		*st = instState{pe: pe, slot: i, gen: st.gen + 1}
+	}
+	clear(pe.cold)
+	*pe = peState{
+		id: id, gen: pe.gen + 1, next: -1, prev: -1,
+		insts: pe.ptrs[:0], pool: pe.pool, ptrs: pe.ptrs, cold: pe.cold,
+	}
 }
 
 // ensureSlots guarantees the arena holds at least n slots. Traces are
@@ -256,20 +266,6 @@ type event struct {
 	val  int64
 	data arb.Seq
 	tag  rename.Tag
-}
-
-// initEventRing sizes the per-cycle event buckets. Event deltas are bounded
-// by the largest modelled latency (cache miss penalties, the divide unit,
-// the bus latency); the ring grows on demand if a configuration exceeds the
-// initial size, and bucket storage is reused cycle after cycle so
-// steady-state scheduling never touches the heap.
-func (p *Processor) initEventRing() {
-	n := 64
-	for n <= p.cfg.BusLatency+1 {
-		n *= 2
-	}
-	p.evBuckets = make([][]event, n)
-	p.evMask = int64(n - 1)
 }
 
 // growEventRing doubles the ring until the delta at-cycle fits, re-homing
@@ -386,7 +382,7 @@ func (p *Processor) unlinkPE(pe *peState) {
 	pe.active = false
 	pe.gen++
 	for _, st := range pe.insts {
-		st.invalidate(p.regs)
+		st.invalidate(&p.regs)
 	}
 	p.releaseTrace(pe.tr)
 	pe.tr = nil
@@ -501,7 +497,7 @@ func (p *Processor) renameLiveOuts(pe *peState) {
 func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 	pe := st.pe
 	in := tr.Insts[i]
-	st.reinit(p.regs)
+	st.reinit(&p.regs)
 	st.inst = in
 	st.cold().pc = tr.PCs[i]
 	if rd, ok := in.WritesReg(); ok {
@@ -663,7 +659,7 @@ func (p *Processor) execute(st *instState) {
 	case in.Op == isa.OpLoad:
 		addr := uint32(a + in.Imm)
 		p.recordLoad(st, addr)
-		val, src := p.arbuf.Load(addr, st.seq(), p.less, p.mem)
+		val, src := p.arbuf.Load(addr, st.seq(), p.less, &p.mem)
 		st.dataSeq = src
 		st.performed = true
 		lat := int64(1 + p.dcache.Access(addr))

@@ -15,6 +15,7 @@ package proc
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"tracep/internal/arb"
 	"tracep/internal/bpred"
@@ -140,26 +141,26 @@ type Processor struct {
 	model Model
 	prog  *isa.Program
 
-	mem     *isa.Memory // committed architectural memory
+	mem     isa.Memory // committed architectural memory
 	oracle  *emu.Emulator
 	commits CommitSource // recorded-trace oracle; replaces the emulator when set
 
 	// regs is the global register file. specMap (the rename map at the
 	// dispatch frontier) and archMap (the architectural map, which the head
 	// PE's mapBefore equals) each hold a reference to every tag they name.
-	regs    *rename.File
+	regs    rename.File
 	specMap rename.Map
 	archMap rename.Map
 
-	arbuf  *arb.ARB
-	dcache *cache.DCache
-	icache *cache.ICache
-	tcache *trace.Cache
-	bp     *bpred.Predictor
-	tp     *tpred.Predictor
-	bit    *core.BIT
-	vp     *vpred.Predictor
-	ctor   *trace.Constructor
+	arbuf  arb.ARB
+	dcache cache.DCache
+	icache cache.ICache
+	tcache trace.Cache
+	bp     bpred.Predictor
+	tp     tpred.Predictor
+	bit    core.BIT
+	vp     *vpred.Predictor // nil unless Config.ValuePredict
+	ctor   trace.Constructor
 
 	pes  []*peState
 	free []int
@@ -169,7 +170,7 @@ type Processor struct {
 	cycle int64
 	// evBuckets is the event scheduler: a power-of-two ring of per-cycle
 	// buckets indexed by cycle&evMask, with bucket storage reused across
-	// cycles (see initEventRing).
+	// cycles (see reset).
 	evBuckets [][]event
 	evMask    int64
 	// subTab holds global-value subscriptions — operands bound to a tag that
@@ -180,7 +181,7 @@ type Processor struct {
 	// capacity from, so first-touch subscriptions on fresh rename slots do
 	// not allocate one tiny slice each. Lists outgrowing their carve move to
 	// dedicated storage via ordinary append.
-	subArena []subRef
+	subArena []subRef //tracep:keep carved rows stay valid across resets
 	// loadRecs indexes performed loads by address for store/undo snooping
 	// (open-addressed, see tables.go); the snoop iteration scratch is reused.
 	loadRecs    loadTable
@@ -267,88 +268,156 @@ func effectiveBITConfig(cfg Config) core.BITConfig {
 // New builds a processor for prog under the given model and configuration,
 // starting from architectural reset with cold microarchitectural state.
 func New(prog *isa.Program, model Model, cfg Config) *Processor {
-	return build(prog, model, cfg, nil)
+	p := new(Processor)
+	p.reset(prog, model, cfg, nil)
+	return p
 }
 
-// build constructs a processor. With a nil snapshot every structure starts
-// from reset; with a snapshot, architectural state and the warm-up-visible
-// structures are deep-cloned from it (see NewFromSnapshot).
-func build(prog *isa.Program, model Model, cfg Config, snap *Snapshot) *Processor {
-	p := &Processor{
-		cfg:   cfg,
-		model: model,
-		prog:  prog,
+// Reset re-initialises p in place into the processor New(prog, model, cfg)
+// returns, abandoning any run in progress. Tables, caches and arenas whose
+// shape still fits cfg are reused instead of allocated, so a sweep worker
+// can run cell after cell on one engine.
+func (p *Processor) Reset(prog *isa.Program, model Model, cfg Config) {
+	p.reset(prog, model, cfg, nil)
+}
 
-		arbuf: arb.New(),
+// Detach drops p's references to its program, oracle and commit source,
+// keeping its tables and arenas for the next Reset or Restore, so an idle
+// pooled engine pins nothing of the run it finished. A detached processor
+// must be reset before it runs again.
+func (p *Processor) Detach() {
+	p.prog, p.oracle, p.commits = nil, nil, nil
+	p.ctor.Prog = nil
+	p.bit.Reset(nil, effectiveBITConfig(p.cfg))
+}
 
-		busPerPE: make([]int, cfg.NumPEs),
-		head:     -1,
-		tail:     -1,
+// reset is the one construction path: it re-initialises p — a zero
+// Processor or a used one — as a processor for prog under model and cfg.
+// With a nil snapshot every structure starts from reset; with a snapshot,
+// architectural state and the warm-up-visible structures are copied out of
+// it (see NewFromSnapshot). Every backing array whose shape still fits cfg
+// is reused. Every field is mentioned here or marked //tracep:keep
+// (tracepvet's resetcomplete), so a field added without reset handling
+// fails vet.
+func (p *Processor) reset(prog *isa.Program, model Model, cfg Config, snap *Snapshot) {
+	p.cfg, p.model, p.prog = cfg, model, prog
+	p.commits = nil
+	p.debugLog = nil
+	if p.less == nil {
+		p.less = p.seqLess
 	}
-	p.initEventRing()
-	if snap == nil {
-		p.mem = isa.NewMemory(prog)
-		p.regs = rename.NewFile()
-		p.dcache = cache.NewDCache(cfg.DCache)
-		p.icache = cache.NewICache(cfg.ICache)
-		p.tcache = trace.NewCache(cfg.TCache)
-		p.bp = bpred.New(effectiveBPredConfig(cfg))
-		p.tp = tpred.New(effectiveTPredConfig(cfg))
-		p.bit = core.NewBIT(prog, effectiveBITConfig(cfg))
-		if cfg.Verify {
-			p.oracle = emu.New(prog)
-		}
-		if cfg.ValuePredict {
-			p.vp = vpred.New(cfg.VPred)
-		}
-		p.specMap = rename.InitialMap(p.regs)
-		p.fe.expectedPC = prog.Entry
-	} else {
-		// Every structure is cloned, never aliased: many simulations may be
-		// forked from one snapshot, concurrently.
-		p.mem = snap.emu.Mem.Clone()
-		p.regs = snap.regs.Clone()
-		p.dcache = snap.dcache.Clone()
-		p.icache = snap.icache.Clone()
-		p.tcache = snap.tcache.Clone()
-		p.bp = snap.bp.Clone()
-		p.tp = snap.tp.Clone()
-		p.bit = snap.bit.Clone()
-		if cfg.Verify {
-			p.oracle = snap.emu.Clone()
-		}
-		if cfg.ValuePredict {
-			p.vp = snap.vp.Clone()
-		}
-		p.specMap = snap.rmap
-		p.fe.expectedPC = snap.emu.PC
-		p.Stats.WarmupInsts = snap.warmupInsts
-	}
-	// With the window empty, the seeded map is also the architectural map.
-	p.regs.SetMap(&p.archMap, &p.specMap)
+	// The trace cache's resident traces go back to the constructor's pool
+	// for the next build (traces a PE or fetch entry still holds are simply
+	// dropped), and structures no snapshot carries start from reset.
+	p.tcache.Reset(cfg.TCache, p.releaseTrace)
+	p.tp.Reset(effectiveTPredConfig(cfg))
 	// Checkpoints into the next-trace predictor's history ring reach back at
 	// most one window plus one fetch queue of in-flight traces; size the ring
 	// generously for deep-window configurations.
 	p.tp.EnsureHistoryCapacity(4 * cfg.NumPEs)
-	p.ctor = &trace.Constructor{
-		Prog: prog,
-		Sel:  trace.SelConfig{MaxLen: cfg.MaxTraceLen, NTB: model.NTB, FG: model.FG},
-		BIT:  p.bit,
-		BP:   p.bp,
-		IC:   p.icache,
+	p.arbuf.Reset()
+	if cfg.ValuePredict {
+		if p.vp == nil {
+			p.vp = new(vpred.Predictor)
+		}
+		p.vp.Reset(cfg.VPred)
+	} else {
+		p.vp = nil
 	}
-	p.pes = make([]*peState, cfg.NumPEs)
-	p.free = make([]int, 0, cfg.NumPEs)
-	for i := range p.pes {
-		pe := &peState{id: i, next: -1, prev: -1}
-		pe.initPool(cfg.MaxTraceLen)
-		p.pes[i] = pe
+	if cfg.Verify {
+		if p.oracle == nil {
+			p.oracle = new(emu.Emulator)
+		}
+	} else {
+		p.oracle = nil
+	}
+	p.Stats = Stats{}
+	startPC := prog.Entry
+	if snap == nil {
+		p.mem.Reset(prog)
+		p.regs.Reset()
+		p.dcache.Reset(cfg.DCache)
+		p.icache.Reset(cfg.ICache)
+		p.bp.Reset(effectiveBPredConfig(cfg))
+		p.bit.Reset(prog, effectiveBITConfig(cfg))
+		if p.oracle != nil {
+			p.oracle.Reset(prog)
+		}
+		p.specMap = rename.InitialMap(&p.regs)
+	} else {
+		// Every structure is copied, never aliased: many simulations may be
+		// forked from one snapshot, concurrently.
+		p.mem.CopyFrom(snap.emu.Mem)
+		p.regs.CopyFrom(snap.regs)
+		p.dcache.CopyFrom(snap.dcache)
+		p.icache.CopyFrom(snap.icache)
+		p.bp.CopyFrom(snap.bp)
+		p.bit.CopyFrom(snap.bit)
+		if p.oracle != nil {
+			p.oracle.CopyFrom(snap.emu)
+		}
+		p.specMap = snap.rmap
+		p.Stats.WarmupInsts = snap.warmupInsts
+		startPC = snap.emu.PC
+	}
+	// With the window empty, the seeded map is also the architectural map.
+	// The old map's tags named the previous register file: drop them
+	// without release.
+	p.archMap = rename.Map{}
+	p.regs.SetMap(&p.archMap, &p.specMap)
+	p.ctor.Prog = prog
+	p.ctor.Sel = trace.SelConfig{MaxLen: cfg.MaxTraceLen, NTB: model.NTB, FG: model.FG}
+	p.ctor.BIT, p.ctor.BP, p.ctor.IC = &p.bit, &p.bp, &p.icache
+
+	p.pes = slices.Grow(p.pes[:0], cfg.NumPEs)[:cfg.NumPEs]
+	p.free = slices.Grow(p.free[:0], cfg.NumPEs)
+	for i, pe := range p.pes {
+		if pe == nil {
+			pe = new(peState)
+			p.pes[i] = pe
+		}
+		pe.reset(i, cfg.MaxTraceLen)
 		p.free = append(p.free, i)
 	}
-	p.fe.init(cfg.NumPEs)
-	p.less = p.seqLess
-	p.classifyBranches()
-	return p
+	p.head, p.tail = -1, -1
+	p.fe.reset(cfg.NumPEs, startPC)
+	p.rec = recovery{redispatch: p.rec.redispatch[:0], redispatchGens: p.rec.redispatchGens[:0]}
+
+	p.cycle = 0
+	// The event ring starts past the largest modelled latency it must hold
+	// at once (cache miss penalties, the divide unit, the bus latency) and
+	// grows on demand; bucket storage is reused cycle after cycle and run
+	// after run, so steady-state scheduling never touches the heap. A ring
+	// left larger by an earlier run behaves the same: events for one cycle
+	// always share one bucket.
+	ring := 64
+	for ring <= cfg.BusLatency+1 {
+		ring *= 2
+	}
+	if len(p.evBuckets) < ring {
+		p.evBuckets = make([][]event, ring)
+	}
+	for i := range p.evBuckets {
+		p.evBuckets[i] = p.evBuckets[i][:0]
+	}
+	p.evMask = int64(len(p.evBuckets) - 1)
+	for i := range p.subTab {
+		p.subTab[i] = subSlot{list: p.subTab[i].list[:0]}
+	}
+	p.loadRecs.reset()
+	p.loadScratch = p.loadScratch[:0]
+	p.bcastQueue = p.bcastQueue[:0]
+	p.busPerPE = slices.Grow(p.busPerPE[:0], cfg.NumPEs)[:cfg.NumPEs]
+	clear(p.busPerPE)
+	p.wakeBatch = p.wakeBatch[:0]
+	p.mispQueue = p.mispQueue[:0]
+	p.forcedScratch = p.forcedScratch[:0]
+	p.ciYounger = p.ciYounger[:0]
+	p.ciViews = p.ciViews[:0]
+	p.branchClasses = p.classifyBranches(p.branchClasses)
+
+	p.lastRetire = 0
+	p.halted, p.done, p.err = false, false, nil
 }
 
 // instRef is a gen-stamped reference to a pooled instruction slot: gen
@@ -474,9 +543,11 @@ const (
 )
 
 // classifyBranches statically analyses every conditional branch in the
-// program with a large-bound FGCI analysis, for Table 5 accounting.
-func (p *Processor) classifyBranches() {
-	p.branchClasses = make([]branchClass, p.prog.Len())
+// program with a large-bound FGCI analysis, for Table 5 accounting. The
+// table is built in buf's storage when it fits.
+func (p *Processor) classifyBranches(buf []branchClass) []branchClass {
+	classes := slices.Grow(buf[:0], p.prog.Len())[:p.prog.Len()]
+	clear(classes)
 	acfg := core.AnalyzeConfig{MaxSize: 4 * p.cfg.MaxTraceLen, MaxEdges: 8, MaxScan: 2048}
 	for pc := uint32(0); int(pc) < p.prog.Len(); pc++ {
 		in := p.prog.At(pc)
@@ -484,23 +555,24 @@ func (p *Processor) classifyBranches() {
 			continue
 		}
 		if in.IsBackwardBranch(pc) {
-			p.branchClasses[pc] = branchClass{kind: classBackward}
+			classes[pc] = branchClass{kind: classBackward}
 			continue
 		}
 		reg := core.AnalyzeRegion(p.prog, pc, acfg)
 		switch {
 		case reg.Found && reg.Size <= p.cfg.MaxTraceLen:
-			p.branchClasses[pc] = branchClass{
+			classes[pc] = branchClass{
 				kind: classFGCISmall, dynSize: reg.Size,
 				staticSize: reg.StaticSize, numCondBr: reg.NumCondBr,
 			}
 		case reg.Found:
-			p.branchClasses[pc] = branchClass{
+			classes[pc] = branchClass{
 				kind: classFGCIBig, dynSize: reg.Size,
 				staticSize: reg.StaticSize, numCondBr: reg.NumCondBr,
 			}
 		default:
-			p.branchClasses[pc] = branchClass{kind: classOtherForward}
+			classes[pc] = branchClass{kind: classOtherForward}
 		}
 	}
+	return classes
 }

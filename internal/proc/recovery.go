@@ -427,7 +427,7 @@ func (p *Processor) installRepair() {
 		// squashed suffix). Slots beyond the new length fall off the insts
 		// prefix; their generations advance so references die with them.
 		for i := len(newTr.Insts); i < len(pe.insts); i++ {
-			pe.insts[i].invalidate(p.regs)
+			pe.insts[i].invalidate(&p.regs)
 		}
 		pe.ensureSlots(len(newTr.Insts))
 		p.releaseTrace(pe.tr)

@@ -45,10 +45,7 @@ import (
 	"tracep/internal/emu"
 	"tracep/internal/isa"
 	"tracep/internal/rename"
-	"tracep/internal/tpred"
-	"tracep/internal/trace"
 	"tracep/internal/tracefile"
-	"tracep/internal/vpred"
 )
 
 // ErrCorruptSnapshot is the sentinel wrapped by every structural error
@@ -436,12 +433,7 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,
-		tcache:      trace.NewCache(cfg.TCache),
-		tp:          tpred.New(effectiveTPredConfig(cfg)),
 		bit:         bit,
-	}
-	if cfg.ValuePredict {
-		s.vp = vpred.New(cfg.VPred)
 	}
 	return s, nil
 }

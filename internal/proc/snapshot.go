@@ -11,9 +11,6 @@ import (
 	"tracep/internal/emu"
 	"tracep/internal/isa"
 	"tracep/internal/rename"
-	"tracep/internal/tpred"
-	"tracep/internal/trace"
-	"tracep/internal/vpred"
 )
 
 // ErrIncompatibleSnapshot is the sentinel wrapped by every error
@@ -28,15 +25,15 @@ var ErrIncompatibleSnapshot = errors.New("snapshot incompatible with configurati
 // path — instruction and data cache arrays, branch-predictor counters,
 // indirect targets and return-address stack, and the BIT's memoised FGCI
 // analyses. Structures whose contents depend on the trace-selection model
-// (trace cache, next-trace predictor, value predictor) are captured at
-// reset, which is what makes one snapshot restorable under every model: the
-// warm-up region is simulated once per program, not once per (program,
-// model) cell.
+// (trace cache, next-trace predictor, value predictor) are not captured:
+// a restore resets them from the configuration, which is what makes one
+// snapshot restorable under every model — the warm-up region is simulated
+// once per program, not once per (program, model) cell.
 //
-// A Snapshot is never mutated after capture and every restore deep-clones
-// out of it (see the Clone methods across internal/{cache,bpred,tpred,
-// vpred,rename,emu,trace,core}), so any number of simulations may be forked
-// from one snapshot concurrently.
+// A Snapshot is never mutated after capture and every restore copies out
+// of it (the CopyFrom methods of internal/{cache,bpred,rename,emu,isa,
+// core}), so any number of simulations may be forked from one snapshot
+// concurrently.
 type Snapshot struct {
 	prog        *isa.Program
 	cfg         Config // capture-time configuration
@@ -55,10 +52,7 @@ type Snapshot struct {
 	icache *cache.ICache
 	dcache *cache.DCache
 	bp     *bpred.Predictor
-	tp     *tpred.Predictor
-	tcache *trace.Cache
 	bit    *core.BIT
-	vp     *vpred.Predictor // nil unless cfg.ValuePredict
 }
 
 // Program returns the program the snapshot was captured from. Restored
@@ -179,12 +173,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,
-		tcache:      trace.NewCache(cfg.TCache),
-		tp:          tpred.New(effectiveTPredConfig(cfg)),
 		bit:         bit,
-	}
-	if cfg.ValuePredict {
-		s.vp = vpred.New(cfg.VPred)
 	}
 	return s, nil
 }
@@ -227,8 +216,8 @@ func (s *Snapshot) CompatibleWith(cfg Config) error {
 
 // NewFromSnapshot builds a processor that resumes from snap under the given
 // model and configuration: architectural state (registers, memory, PC, the
-// oracle when Config.Verify is set) and the warmed structures are deep-
-// cloned from the snapshot, everything else — window, ARB, trace-level
+// oracle when Config.Verify is set) and the warmed structures are copied
+// out of the snapshot, everything else — window, ARB, trace-level
 // sequencing — starts empty, exactly as it would at reset. The restored
 // run's statistics cover the measured region only; Stats.WarmupInsts
 // records the fast-forwarded prefix.
@@ -238,11 +227,23 @@ func (s *Snapshot) CompatibleWith(cfg Config) error {
 // otherwise validated like New's (the caller is expected to have run
 // Config.Validate, as package tracep does).
 func NewFromSnapshot(snap *Snapshot, model Model, cfg Config) (*Processor, error) {
-	if snap == nil {
-		return nil, errors.New("snapshot: nil snapshot")
-	}
-	if err := snap.CompatibleWith(cfg); err != nil {
+	p := new(Processor)
+	if err := p.Restore(snap, model, cfg); err != nil {
 		return nil, err
 	}
-	return build(snap.prog, model, cfg, snap), nil
+	return p, nil
+}
+
+// Restore re-initialises p in place into the processor
+// NewFromSnapshot(snap, model, cfg) returns, reusing p's tables and arenas
+// like Reset. On error p is left untouched.
+func (p *Processor) Restore(snap *Snapshot, model Model, cfg Config) error {
+	if snap == nil {
+		return errors.New("snapshot: nil snapshot")
+	}
+	if err := snap.CompatibleWith(cfg); err != nil {
+		return err
+	}
+	p.reset(snap.prog, model, cfg, snap)
+	return nil
 }

@@ -102,6 +102,20 @@ func (t *loadTable) slotFor(addr uint32) int {
 	return int(i)
 }
 
+// reset empties the table in place, recycling every bucket into the pool.
+// The table keeps its size: probe layout never reaches simulation output.
+func (t *loadTable) reset() {
+	for i, b := range t.recs {
+		if cap(b) > 0 {
+			t.pool = append(t.pool, b[:0])
+		}
+		t.recs[i] = nil
+	}
+	clear(t.keys)
+	clear(t.used)
+	t.n = 0
+}
+
 // grow doubles the table (or seeds it) and reinserts every occupied slot.
 func (t *loadTable) grow() {
 	size := loadTableMinSize

@@ -70,8 +70,8 @@ type page struct {
 // File is the global register file: tag -> value storage, laid out as pages
 // of slots indexed directly by the tag's low bits. Freed slots go on a
 // freelist that Alloc drains before extending the frontier, and each free
-// bumps the slot generation so stale tags read as invalid. Clone
-// block-copies the pages out of one contiguous arena.
+// bumps the slot generation so stale tags read as invalid. Clone and
+// CopyFrom block-copy pages; Reset keeps them as zeroed capacity.
 type File struct {
 	pages    []*page
 	free     []uint32 // freed slot indexes, drained LIFO
@@ -84,8 +84,20 @@ type File struct {
 }
 
 // NewFile builds an empty register file.
-func NewFile() *File {
-	return &File{}
+func NewFile() *File { return new(File).Reset() }
+
+// Reset empties the file in place into the state NewFile builds — no live
+// tags, every generation back to zero, zero counters — keeping its pages
+// as zeroed capacity for the next Alloc, and returns f.
+func (f *File) Reset() *File {
+	for _, pg := range f.pages {
+		*pg = page{}
+	}
+	f.free = f.free[:0]
+	f.frontier, f.used = 0, 0
+	f.slots = len(f.pages) * pageSize
+	f.Allocated, f.Freed = 0, 0
+	return f
 }
 
 // slot resolves a tag to its page and intra-page index, nil page if the tag
@@ -256,28 +268,35 @@ func (f *File) Slots() int { return f.frontier }
 //tracep:noalloc
 func (f *File) Cap() int { return f.slots }
 
-// Clone returns a deep copy of the register file: pages are block-copied
-// into one contiguous arena, so writes through one file never reach the
-// other. Tag identity (slot numbering, generations, reference counts and
-// the freelist) is preserved, which keeps rename maps captured alongside
-// the file valid against the clone and makes both files hand out identical
-// future tags.
-func (f *File) Clone() *File {
-	c := &File{
-		pages:     make([]*page, len(f.pages)),
-		free:      append([]uint32(nil), f.free...),
-		frontier:  f.frontier,
-		slots:     f.slots,
-		used:      f.used,
-		Allocated: f.Allocated,
-		Freed:     f.Freed,
+// Clone returns a deep copy of the register file.
+func (f *File) Clone() *File { return new(File).CopyFrom(f) }
+
+// CopyFrom overwrites f with a deep copy of src and returns f: src's pages
+// are block-copied into f's, so writes through one file never reach the
+// other; pages f lacks come from one contiguous arena, and pages beyond
+// src's stay as zeroed capacity. Tag identity (slot numbering,
+// generations, reference counts and the freelist) is preserved, which
+// keeps rename maps captured alongside src valid against f and makes both
+// files hand out identical future tags.
+func (f *File) CopyFrom(src *File) *File {
+	if n := len(src.pages) - len(f.pages); n > 0 {
+		arena := make([]page, n)
+		for i := range arena {
+			f.pages = append(f.pages, &arena[i])
+		}
 	}
-	arena := make([]page, len(f.pages))
 	for i, pg := range f.pages {
-		arena[i] = *pg
-		c.pages[i] = &arena[i]
+		if i < len(src.pages) {
+			*pg = *src.pages[i]
+		} else {
+			*pg = page{}
+		}
 	}
-	return c
+	f.free = append(f.free[:0], src.free...)
+	f.frontier, f.used = src.frontier, src.used
+	f.slots = len(f.pages) * pageSize
+	f.Allocated, f.Freed = src.Allocated, src.Freed
+	return f
 }
 
 // InitialMap seeds a map with fresh ready tags holding zero for every

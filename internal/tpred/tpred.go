@@ -9,7 +9,11 @@
 // predictor is backed up to that trace", §2.1).
 package tpred
 
-import "tracep/internal/trace"
+import (
+	"slices"
+
+	"tracep/internal/trace"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -66,20 +70,29 @@ type Predictor struct {
 }
 
 // New builds a predictor.
-func New(cfg Config) *Predictor {
+func New(cfg Config) *Predictor { return new(Predictor).Reset(cfg) }
+
+// Reset re-initialises the predictor in place into the state New(cfg)
+// builds — reset tables, empty speculative history, zero counters —
+// reusing its tables and history ring when their capacity fits, and
+// returns p.
+func (p *Predictor) Reset(cfg Config) *Predictor {
 	if cfg.PathEntries == 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.PathEntries&(cfg.PathEntries-1) != 0 || cfg.SimpleEntries&(cfg.SimpleEntries-1) != 0 {
 		panic("tpred: table sizes must be powers of two")
 	}
-	p := &Predictor{
-		cfg:     cfg,
-		path:    make([]entry, cfg.PathEntries),
-		simple:  make([]entry, cfg.SimpleEntries),
-		histLen: cfg.HistLen,
-		hist:    make([]uint64, defaultHistRing),
-	}
+	p.cfg = cfg
+	p.path = slices.Grow(p.path[:0], cfg.PathEntries)[:cfg.PathEntries]
+	p.simple = slices.Grow(p.simple[:0], cfg.SimpleEntries)[:cfg.SimpleEntries]
+	clear(p.path)
+	clear(p.simple)
+	p.histLen = cfg.HistLen
+	p.hist = slices.Grow(p.hist[:0], defaultHistRing)[:defaultHistRing]
+	clear(p.hist)
+	p.pos = 0
+	p.ResetStats()
 	if cfg.Seed != 0 {
 		x := uint64(cfg.Seed) ^ 0xA24BAED4963EE407
 		scramble := func(es []entry) {
@@ -100,18 +113,19 @@ func New(cfg Config) *Predictor {
 
 // Clone returns a deep copy of the predictor: both component tables, the
 // speculative history ring, and the counters.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:             p.cfg,
-		path:            append([]entry(nil), p.path...),
-		simple:          append([]entry(nil), p.simple...),
-		histLen:         p.histLen,
-		hist:            append([]uint64(nil), p.hist...),
-		pos:             p.pos,
-		Predictions:     p.Predictions,
-		PathPredictions: p.PathPredictions,
-		Trains:          p.Trains,
-	}
+func (p *Predictor) Clone() *Predictor { return new(Predictor).CopyFrom(p) }
+
+// CopyFrom overwrites p with a deep copy of src, reusing p's tables and
+// history ring, and returns p.
+func (p *Predictor) CopyFrom(src *Predictor) *Predictor {
+	p.cfg = src.cfg
+	p.path = append(p.path[:0], src.path...)
+	p.simple = append(p.simple[:0], src.simple...)
+	p.histLen = src.histLen
+	p.hist = append(p.hist[:0], src.hist...)
+	p.pos = src.pos
+	p.Predictions, p.PathPredictions, p.Trains = src.Predictions, src.PathPredictions, src.Trains
+	return p
 }
 
 // defaultHistRing is the speculative-history ring capacity at construction:
@@ -122,7 +136,8 @@ const defaultHistRing = 256
 // EnsureHistoryCapacity grows the history ring so that checkpoints up to
 // depth positions behind the frontier (plus the hash's histLen lookback)
 // remain readable. Called once at processor construction; deep-window
-// configurations get a proportionally larger arena.
+// configurations get a proportionally larger arena. An empty history grows
+// in place when the ring's backing array already has the room.
 func (p *Predictor) EnsureHistoryCapacity(depth int) {
 	need := depth + p.histLen + 1
 	n := len(p.hist)
@@ -130,6 +145,11 @@ func (p *Predictor) EnsureHistoryCapacity(depth int) {
 		n *= 2
 	}
 	if n == len(p.hist) {
+		return
+	}
+	if p.pos == 0 && cap(p.hist) >= n {
+		p.hist = p.hist[:n]
+		clear(p.hist)
 		return
 	}
 	ring := make([]uint64, n)
@@ -293,6 +313,3 @@ func train(e *entry, actual trace.Descriptor) {
 	e.desc = actual
 	e.ctr = 1
 }
-
-// Reset clears the speculative history (not the tables); used at run start.
-func (p *Predictor) Reset() { p.pos = 0 }

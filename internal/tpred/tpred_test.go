@@ -1,6 +1,7 @@
 package tpred
 
 import (
+	"reflect"
 	"testing"
 
 	"tracep/internal/trace"
@@ -128,11 +129,19 @@ func TestHysteresisResistsNoise(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
+	cfg := Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2}
+	p := New(cfg)
 	p.SpecUpdate(desc(1, 0))
-	p.Reset()
+	p.Train(0, desc(2, 0))
+	p.Reset(cfg)
 	if p.HistoryPos() != 0 {
 		t.Error("Reset must clear speculative history")
+	}
+	if fresh := New(cfg); !reflect.DeepEqual(p, fresh) {
+		t.Error("a reset predictor differs from a fresh one")
+	}
+	if d, ok := p.Predict(); ok {
+		t.Errorf("Reset must clear the tables; predicted %v", d)
 	}
 }
 

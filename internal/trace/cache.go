@@ -17,19 +17,39 @@ func DefaultCacheConfig() CacheConfig { return CacheConfig{Sets: 256, Assoc: 4} 
 // is modelled by a SetAssoc; contents live in a map kept in sync with the
 // timing array.
 type Cache struct {
-	timing *cache.SetAssoc
+	timing cache.SetAssoc
 	store  map[uint64]*Trace //tracep:nostats resident traces survive stat resets
 }
 
 // NewCache builds a trace cache.
-func NewCache(cfg CacheConfig) *Cache {
+func NewCache(cfg CacheConfig) *Cache { return new(Cache).Reset(cfg, nil) }
+
+// Reset empties the cache in place into the state NewCache(cfg) builds,
+// reusing its arrays and content index, and returns c. Each trace the cache
+// stopped holding is passed to drop (when non-nil), in set and way order,
+// so the caller can release the cache's reference to it — as it does for
+// the trace Insert displaces.
+func (c *Cache) Reset(cfg CacheConfig, drop func(*Trace)) *Cache {
 	if cfg.Sets == 0 {
 		cfg = DefaultCacheConfig()
 	}
-	return &Cache{
-		timing: cache.NewSetAssoc(cfg.Sets, cfg.Assoc),
-		store:  make(map[uint64]*Trace),
+	if c.store == nil {
+		c.store = make(map[uint64]*Trace)
 	}
+	if drop != nil {
+		// Every resident trace has a valid timing line (eviction deletes
+		// the content), so walking the lines visits each trace once in a
+		// deterministic order.
+		tags, valid, _ := c.timing.ExportState()
+		for i, v := range valid {
+			if tr, ok := c.store[tags[i]]; v && ok {
+				drop(tr)
+			}
+		}
+	}
+	clear(c.store)
+	c.timing.Reset(cfg.Sets, cfg.Assoc)
+	return c
 }
 
 // Lookup searches for the trace identified by d. A miss does not allocate;
@@ -84,22 +104,26 @@ func (c *Cache) Insert(tr *Trace) (evicted *Trace, fresh bool) {
 }
 
 // Clone returns a deep copy of the cache's timing state and content index.
-// The *Trace values themselves are shared: traces are immutable once
-// inserted (repairs construct new traces rather than editing resident ones),
-// so clones may alias them safely. Shared traces are pinned immortal —
-// neither holder may recycle storage the other still reads. (The engine only
-// ever clones empty caches — snapshots capture the trace cache at reset — so
-// pinning costs nothing there.)
-func (c *Cache) Clone() *Cache {
-	n := &Cache{
-		timing: c.timing.Clone(),
-		store:  make(map[uint64]*Trace, len(c.store)),
+func (c *Cache) Clone() *Cache { return new(Cache).CopyFrom(c) }
+
+// CopyFrom overwrites c with a deep copy of src's timing state and content
+// index, reusing c's storage, and returns c; traces c held before are
+// dropped without release. The *Trace values themselves are shared: traces
+// are immutable once inserted (repairs construct new traces rather than
+// editing resident ones), so copies may alias them safely. Shared traces
+// are pinned immortal — neither holder may recycle storage the other still
+// reads.
+func (c *Cache) CopyFrom(src *Cache) *Cache {
+	c.timing.CopyFrom(&src.timing)
+	if c.store == nil {
+		c.store = make(map[uint64]*Trace, len(src.store))
 	}
-	for k, tr := range c.store { //tracep:orderinvariant map-to-map copy
+	clear(c.store)
+	for k, tr := range src.store { //tracep:orderinvariant map-to-map copy
 		tr.refs = -1
-		n.store[k] = tr
+		c.store[k] = tr
 	}
-	return n
+	return c
 }
 
 // ResetStats zeroes the lookup/miss counters, keeping resident traces.

@@ -136,7 +136,7 @@ type Trace struct {
 	// consumerArena backs every LocalConsumers list: prerename counts the
 	// consumer fan-out first and carves exactly-sized segments from one
 	// allocation instead of growing each list separately.
-	consumerArena []int16
+	consumerArena []int16 //tracep:keep retained across builds
 
 	// refs counts the trace's holders — the trace cache and each in-flight
 	// consumer (fetch entry, PE, active recovery). A persistent trace whose
@@ -179,6 +179,12 @@ func (t *Trace) Len() int { return len(t.Insts) }
 //
 //tracep:noalloc
 func (t *Trace) reset() {
+	// A trace is reset only as scratch or out of the recycle pool, neither
+	// of which has holders.
+	t.refs = 0
+	for r := range t.LastWriter {
+		t.LastWriter[r] = -1
+	}
 	for i := range t.LocalConsumers {
 		t.LocalConsumers[i] = t.LocalConsumers[i][:0]
 	}
@@ -256,7 +262,7 @@ func (t *Trace) BranchAt(idx int) (*BranchInfo, bool) {
 // (local vs live-in), last writers, live-ins/live-outs and the local
 // consumer lists. It is called once at construction; the results are stored
 // with the trace in the trace cache ("intra-trace values are pre-renamed in
-// the trace cache").
+// the trace cache"). It expects LastWriter as reset leaves it.
 //
 //tracep:noalloc
 func (t *Trace) prerename() {
@@ -264,9 +270,6 @@ func (t *Trace) prerename() {
 	t.Srcs = grow2(t.Srcs, n)
 	t.DestArch = growRegs(t.DestArch, n)
 	t.LocalConsumers = growConsumers(t.LocalConsumers, n)
-	for r := range t.LastWriter {
-		t.LastWriter[r] = -1
-	}
 	seenLiveIn := [isa.NumRegs]bool{}
 	totalConsumers := 0
 	for i, in := range t.Insts {

@@ -11,6 +11,8 @@
 // exactly the data-speculation recovery path of §2.2.
 package vpred
 
+import "slices"
+
 // Config sizes the predictor.
 type Config struct {
 	Entries int // power of two
@@ -47,26 +49,36 @@ type Predictor struct {
 }
 
 // New builds a predictor.
-func New(cfg Config) *Predictor {
+func New(cfg Config) *Predictor { return new(Predictor).Reset(cfg) }
+
+// Reset re-initialises the predictor in place into the state New(cfg)
+// builds, reusing its table when the capacity fits, and returns p.
+func (p *Predictor) Reset(cfg Config) *Predictor {
 	if cfg.Entries == 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.Entries&(cfg.Entries-1) != 0 {
 		panic("vpred: Entries must be a power of two")
 	}
-	return &Predictor{cfg: cfg, table: make([]entry, cfg.Entries), mask: uint64(cfg.Entries - 1)}
+	p.cfg = cfg
+	p.table = slices.Grow(p.table[:0], cfg.Entries)[:cfg.Entries]
+	clear(p.table)
+	p.mask = uint64(cfg.Entries - 1)
+	p.ResetStats()
+	return p
 }
 
 // Clone returns a deep copy of the predictor table and counters.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:         p.cfg,
-		table:       append([]entry(nil), p.table...),
-		mask:        p.mask,
-		Predictions: p.Predictions,
-		Correct:     p.Correct,
-		Trains:      p.Trains,
-	}
+func (p *Predictor) Clone() *Predictor { return new(Predictor).CopyFrom(p) }
+
+// CopyFrom overwrites p with a deep copy of src, reusing p's table, and
+// returns p.
+func (p *Predictor) CopyFrom(src *Predictor) *Predictor {
+	p.cfg = src.cfg
+	p.table = append(p.table[:0], src.table...)
+	p.mask = src.mask
+	p.Predictions, p.Correct, p.Trains = src.Predictions, src.Correct, src.Trains
+	return p
 }
 
 // ResetStats zeroes the prediction/training counters, keeping the table.

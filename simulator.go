@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"tracep/internal/bench"
 	"tracep/internal/proc"
@@ -105,7 +106,7 @@ func WithSeed(seed int64) Option {
 func WithWarmup(n uint64) Option { return func(s *Simulator) { s.warmup = n } }
 
 // WithSnapshot starts every Run of the session from snap instead of reset,
-// skipping the warm-up simulation entirely: restore deep-clones the
+// skipping the warm-up simulation entirely: restore deep-copies the
 // snapshot, so runs forked from one snapshot are fully independent (and
 // byte-identical to a session that performs the same warm-up itself with
 // WithWarmup). The session's program must be the very program the snapshot
@@ -135,8 +136,9 @@ func WithLabel(name string) Option { return func(s *Simulator) { s.label = name 
 
 // Simulator is one configured simulation session: a program plus a model,
 // configuration, run limits and progress plumbing. Sessions are reusable —
-// every Run starts a fresh processor from reset — but not concurrency-safe;
-// share programs across goroutines, not Simulators.
+// every Run is an independent simulation on an engine reset in place (see
+// engines) — but not concurrency-safe; share programs across goroutines,
+// not Simulators.
 type Simulator struct {
 	prog *Program
 	// benchmark-backed sessions build their program lazily on the first
@@ -288,6 +290,7 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracep: %s: %w", s.label, err)
 	}
+	defer putEngine(p)
 	if s.recorded != nil && s.cfg.Verify {
 		// Recorded workloads verify retirement against their .tptrace
 		// stream instead of an in-process emulator. Each Run gets its own
@@ -339,35 +342,61 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 	return &Result{Benchmark: s.label, Model: s.model.Name, Stats: stats}, nil
 }
 
-// newProcessor constructs the run's processor: restored from the session's
-// snapshot, restored from a freshly captured warm-up checkpoint, or cold
-// from reset.
+// engines recycles processors across runs. Every Run — a Simulator
+// session's, a Sweep worker's cell, a tracepd job — resets a pooled engine
+// in place instead of building one, so predictor tables, caches and arenas
+// are allocated once per engine rather than once per cell. Results are
+// unaffected: a reset engine runs exactly like a fresh one.
+var engines sync.Pool
+
+// putEngine detaches p from its finished run and returns it to the pool.
+func putEngine(p *proc.Processor) {
+	p.Detach()
+	engines.Put(p)
+}
+
+// newProcessor takes the run's processor from the pool and resets it:
+// restored from the session's snapshot, restored from a freshly captured
+// warm-up checkpoint, or cold from reset. The caller returns it with
+// putEngine.
 func (s *Simulator) newProcessor(ctx context.Context, prog *Program) (*proc.Processor, error) {
-	if s.snap != nil {
-		if s.snap.Program() == nil {
+	snap := s.snap
+	switch {
+	case snap != nil:
+		if snap.Program() == nil {
 			return nil, fmt.Errorf("%w: snapshot has no program (zero-value Snapshot?)", ErrIncompatibleSnapshot)
 		}
 		// Pointer equality is the fast path (a sweep row shares one build);
 		// structural equality admits snapshots decoded from their binary
 		// form, whose program was rebuilt in another process. Deterministic
 		// builds make the two indistinguishable at run time.
-		if !prog.Equal(s.snap.Program()) {
+		if !prog.Equal(snap.Program()) {
 			return nil, fmt.Errorf("%w: snapshot was captured from a different program (%q, session has %q)",
-				ErrIncompatibleSnapshot, s.snap.Program().Name, prog.Name)
+				ErrIncompatibleSnapshot, snap.Program().Name, prog.Name)
 		}
-		return proc.NewFromSnapshot(s.snap, s.model, s.cfg)
-	}
-	if s.warmup > 0 {
+	case s.warmup > 0:
 		if s.warmSnap == nil {
-			snap, err := proc.CaptureSnapshot(ctx, prog, s.cfg, s.warmup)
+			ws, err := proc.CaptureSnapshot(ctx, prog, s.cfg, s.warmup)
 			if err != nil {
 				return nil, err
 			}
-			s.warmSnap = snap
+			s.warmSnap = ws
 		}
-		return proc.NewFromSnapshot(s.warmSnap, s.model, s.cfg)
+		snap = s.warmSnap
 	}
-	return proc.New(prog, s.model, s.cfg), nil
+	p, _ := engines.Get().(*proc.Processor)
+	if p == nil {
+		p = new(proc.Processor)
+	}
+	if snap == nil {
+		p.Reset(prog, s.model, s.cfg)
+		return p, nil
+	}
+	if err := p.Restore(snap, s.model, s.cfg); err != nil {
+		engines.Put(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // CaptureSnapshot runs the functional warm-up of n instructions over the

@@ -148,9 +148,9 @@ type sweepRow struct {
 // holds a Gate slot only for the capture itself — warm-up CPU work is
 // bounded exactly like simulation work — while concurrent callers of the
 // same row wait slot-free until the one capture finishes, leaving the
-// gate's capacity to other sweeps. The snapshot is immutable and
-// restore-side state is always cloned, so handing it to every cell is
-// race-free.
+// gate's capacity to other sweeps. The snapshot is immutable and every
+// restore copies what it takes out of it into the cell's own engine, so
+// handing it to every cell is race-free.
 func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) {
 	if r.provided != nil {
 		return r.provided, nil
