@@ -307,6 +307,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 // from it (Sweep.Warmup); "per-cell" simulates the same warm-up from cold
 // in every cell (WithWarmup). Both produce byte-identical ResultSets — the
 // wall-clock gap is pure snapshot-sharing win, roughly (cells-1) warm-ups.
+// "seeds" runs the 8 models under 4 seeds on two workers: one functional
+// pass captures all four seed rows' snapshots.
 func BenchmarkWarmupSnapshot(b *testing.B) {
 	const targetInsts, warm = 520_000, 500_000
 	bm, err := tracep.BenchmarkByName("compress")
@@ -323,6 +325,26 @@ func BenchmarkWarmupSnapshot(b *testing.B) {
 				TargetInsts: targetInsts,
 				Warmup:      warm,
 				Parallelism: 1,
+			}
+			rs, err := sw.Run(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rs.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("seeds", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sw := tracep.Sweep{
+				Benchmarks:  []tracep.Benchmark{bm},
+				Models:      models,
+				TargetInsts: targetInsts,
+				Warmup:      warm,
+				Seeds:       []int64{1, 2, 3, 4},
+				Parallelism: 2,
 			}
 			rs, err := sw.Run(context.Background())
 			if err != nil {

@@ -28,12 +28,15 @@ var ErrIncompatibleSnapshot = errors.New("snapshot incompatible with configurati
 // (trace cache, next-trace predictor, value predictor) are not captured:
 // a restore resets them from the configuration, which is what makes one
 // snapshot restorable under every model — the warm-up region is simulated
-// once per program, not once per (program, model) cell.
+// once per program, not once per (program, model) cell. Only the branch
+// predictor's start state depends on the seed, so the snapshots of one
+// CaptureSnapshots pass — one per seed — share the emulator, register
+// file and map, caches and BIT read-only; each holds its own predictor.
 //
 // A Snapshot is never mutated after capture and every restore copies out
 // of it (the CopyFrom methods of internal/{cache,bpred,rename,emu,isa,
-// core}), so any number of simulations may be forked from one snapshot
-// concurrently.
+// core}), shared structures included, so any number of simulations may be
+// forked from one snapshot, or from sibling snapshots, concurrently.
 type Snapshot struct {
 	prog        *isa.Program
 	cfg         Config // capture-time configuration
@@ -70,6 +73,17 @@ func (s *Snapshot) PC() uint32 { return s.emu.PC }
 func (s *Snapshot) Config() Config { return s.cfg }
 
 // CaptureSnapshot fast-forwards the first warmupInsts instructions of prog
+// functionally and checkpoints the result; it is CaptureSnapshots with a
+// single configuration.
+func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupInsts uint64) (*Snapshot, error) {
+	snaps, err := CaptureSnapshots(ctx, prog, []Config{cfg}, warmupInsts)
+	if err != nil {
+		return nil, err
+	}
+	return snaps[0], nil
+}
+
+// CaptureSnapshots fast-forwards the first warmupInsts instructions of prog
 // functionally — the emulator executes them architecturally, no timing is
 // modelled — and warms the model-independent structures along the committed
 // path exactly once:
@@ -77,9 +91,10 @@ func (s *Snapshot) Config() Config { return s.cfg }
 //   - the instruction cache, one line fill per line transition of the
 //     committed instruction stream;
 //   - the data cache, one access per load/store effective address;
-//   - the branch predictor: direction counters trained with actual
-//     outcomes, indirect targets recorded, the return-address stack
-//     maintained across calls and returns;
+//   - the branch predictors, one per configuration, trained in lock-step:
+//     direction counters trained with actual outcomes, indirect targets
+//     recorded, the return-address stack maintained across calls and
+//     returns;
 //   - the BIT, one lookup per committed forward conditional branch (which
 //     also memoises the pure FGCI region analysis).
 //
@@ -90,9 +105,16 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // simulation: predictors and caches observe the true execution history, so
 // the measured region starts from steady state rather than from a cold
 // machine, and — because the committed path is the same under every
-// trace-selection model — a single capture serves the whole model grid.
+// trace-selection model and every predictor seed — a single pass serves the
+// whole model × seed grid. It returns one snapshot per configuration, in
+// order; the snapshots share the architectural state, caches and BIT
+// read-only and each holds its own branch predictor and configuration.
+// Only the branch predictor may differ between the configurations: ones
+// that disagree on the caches or the effective BIT configuration (which
+// follows MaxTraceLen), or an empty cfgs, are reported as errors wrapping
+// ErrIncompatibleSnapshot.
 //
-// warmupInsts may be zero, in which case the snapshot is a reset-state
+// warmupInsts may be zero, in which case each snapshot is a reset-state
 // checkpoint and a restored run is identical to a cold New. The warm-up
 // must end strictly before the program halts; running into the halt
 // instruction is an error (there would be no measured region left).
@@ -100,19 +122,31 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // Cancelling ctx abandons the capture promptly (within ~a thousand
 // emulated instructions) and returns the context's error — long warm-ups
 // honour the same cancellation contract as simulation itself.
-func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupInsts uint64) (*Snapshot, error) {
+func CaptureSnapshots(ctx context.Context, prog *isa.Program, cfgs []Config, warmupInsts uint64) ([]*Snapshot, error) {
 	if prog == nil {
 		return nil, errors.New("snapshot: nil program")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("snapshot: %w: no configuration to capture", ErrIncompatibleSnapshot)
+	}
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if err := sharedPassMismatch(cfgs[0], cfg); err != nil {
+			return nil, err
+		}
 	}
 
+	cfg := cfgs[0]
 	e := emu.New(prog)
 	ic := cache.NewICache(cfg.ICache)
 	dc := cache.NewDCache(cfg.DCache)
-	bp := bpred.New(effectiveBPredConfig(cfg))
 	bit := core.NewBIT(prog, effectiveBITConfig(cfg))
+	bps := make([]*bpred.Predictor, len(cfgs))
+	for i, c := range cfgs {
+		bps[i] = bpred.New(effectiveBPredConfig(c))
+	}
 
 	var lastPC uint32
 	for i := uint64(0); i < warmupInsts; i++ {
@@ -134,20 +168,28 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 		in := rec.Inst
 		switch {
 		case in.IsCondBranch():
-			bp.UpdateDirection(rec.PC, rec.Taken)
+			for _, bp := range bps {
+				bp.UpdateDirection(rec.PC, rec.Taken)
+			}
 			if in.IsForwardBranch(rec.PC) {
 				bit.Lookup(rec.PC)
 			}
 		case in.IsCall():
-			bp.PushRAS(rec.PC + 1)
-			if in.Op == isa.OpCallR {
-				bp.UpdateIndirect(rec.PC, rec.NextPC)
+			for _, bp := range bps {
+				bp.PushRAS(rec.PC + 1)
+				if in.Op == isa.OpCallR {
+					bp.UpdateIndirect(rec.PC, rec.NextPC)
+				}
 			}
 		case in.Op == isa.OpRet:
-			bp.PopRAS()
-			bp.UpdateIndirect(rec.PC, rec.NextPC)
+			for _, bp := range bps {
+				bp.PopRAS()
+				bp.UpdateIndirect(rec.PC, rec.NextPC)
+			}
 		case in.Op == isa.OpJr:
-			bp.UpdateIndirect(rec.PC, rec.NextPC)
+			for _, bp := range bps {
+				bp.UpdateIndirect(rec.PC, rec.NextPC)
+			}
 		case in.IsMem():
 			dc.Access(rec.Addr)
 		}
@@ -157,25 +199,47 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 	// zero.
 	ic.ResetStats()
 	dc.ResetStats()
-	bp.ResetStats()
 	bit.ResetStats()
 
 	f := rename.NewFile()
 	m := rename.MapFrom(f, &e.Regs)
 
-	s := &Snapshot{
-		prog:        prog,
-		cfg:         cfg,
-		warmupInsts: warmupInsts,
-		emu:         e,
-		regs:        f,
-		rmap:        m,
-		icache:      ic,
-		dcache:      dc,
-		bp:          bp,
-		bit:         bit,
+	snaps := make([]*Snapshot, len(cfgs))
+	for i, bp := range bps {
+		bp.ResetStats()
+		snaps[i] = &Snapshot{
+			prog:        prog,
+			cfg:         cfgs[i],
+			warmupInsts: warmupInsts,
+			emu:         e,
+			regs:        f,
+			rmap:        m,
+			icache:      ic,
+			dcache:      dc,
+			bp:          bp,
+			bit:         bit,
+		}
 	}
-	return s, nil
+	return snaps, nil
+}
+
+// sharedPassMismatch reports the first field on which two capture
+// configurations disagree about a structure the shared warm-up pass builds
+// once: everything but the branch predictor.
+func sharedPassMismatch(a, b Config) error {
+	mismatch := func(field string, x, y any) error {
+		return fmt.Errorf("%w: capture configurations disagree on %s: %+v vs %+v",
+			ErrIncompatibleSnapshot, field, x, y)
+	}
+	switch {
+	case a.ICache != b.ICache:
+		return mismatch("ICache", a.ICache, b.ICache)
+	case a.DCache != b.DCache:
+		return mismatch("DCache", a.DCache, b.DCache)
+	case effectiveBITConfig(a) != effectiveBITConfig(b):
+		return mismatch("BIT", effectiveBITConfig(a), effectiveBITConfig(b))
+	}
+	return nil
 }
 
 // CompatibleWith reports whether a processor configured with cfg can be

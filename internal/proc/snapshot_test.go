@@ -1,12 +1,15 @@
 package proc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tracep/internal/asm"
+	"tracep/internal/bench"
 	"tracep/internal/isa"
 )
 
@@ -238,5 +241,95 @@ func TestWarmupIsObservable(t *testing.T) {
 	}
 	if warm.ICMisses >= cold.ICMisses {
 		t.Errorf("warmed I-cache should miss less: warm %d, cold %d", warm.ICMisses, cold.ICMisses)
+	}
+}
+
+// TestCaptureSnapshotsMatchesPerSeed: one shared warm-up pass over several
+// seeds yields, for every suite benchmark, snapshots byte-identical to
+// separate per-seed captures, and restoring the shared snapshots
+// concurrently — they share every structure but the branch predictor —
+// runs exactly like restoring the per-seed ones. Configurations that
+// disagree on a structure the pass builds once are refused.
+func TestCaptureSnapshotsMatchesPerSeed(t *testing.T) {
+	const warm, measured = 20_000, 3_000
+	ctx := context.Background()
+	seeds := []int64{0, 1, 7, 1009}
+	cfgs := make([]Config, len(seeds))
+	for i, seed := range seeds {
+		cfgs[i] = testConfig()
+		cfgs[i].Seed = seed
+	}
+	for _, bm := range bench.Suite() {
+		prog := bm.Build(bm.ScaleFor(warm + measured))
+		shared, err := CaptureSnapshots(ctx, prog, cfgs, warm)
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		if len(shared) != len(cfgs) {
+			t.Fatalf("%s: %d snapshots for %d configs", bm.Name, len(shared), len(cfgs))
+		}
+		want := make([]*Stats, len(cfgs))
+		for i, cfg := range cfgs {
+			single, err := CaptureSnapshot(ctx, prog, cfg, warm)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", bm.Name, cfg.Seed, err)
+			}
+			a, err := shared[i].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := single.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s seed %d: shared-pass snapshot differs from a per-seed capture", bm.Name, cfg.Seed)
+			}
+			want[i] = runFromSnapshot(t, single, allModels[i%len(allModels)], cfg)
+		}
+
+		got := make([]*Stats, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := NewFromSnapshot(shared[i], allModels[i%len(allModels)], cfg)
+				if err == nil {
+					got[i], err = p.Run(5_000_000)
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for i, cfg := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("%s seed %d: restored run: %v", bm.Name, cfg.Seed, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s seed %d: run from the shared-pass snapshot diverged from the per-seed one", bm.Name, cfg.Seed)
+			}
+		}
+	}
+
+	prog := snapProgram(100)
+	reject := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"ICache", func(c *Config) { c.ICache.SizeInsts = 8192 }},
+		{"DCache", func(c *Config) { c.DCache.MissPenalty = 99 }},
+		{"MaxTraceLen", func(c *Config) { c.MaxTraceLen = 16 }},
+	}
+	for _, tc := range reject {
+		bad := append([]Config(nil), cfgs...)
+		tc.edit(&bad[len(bad)-1])
+		if _, err := CaptureSnapshots(ctx, prog, bad, 500); !errors.Is(err, ErrIncompatibleSnapshot) {
+			t.Errorf("%s mismatch: want ErrIncompatibleSnapshot, got %v", tc.name, err)
+		}
+	}
+	if _, err := CaptureSnapshots(ctx, prog, nil, 500); !errors.Is(err, ErrIncompatibleSnapshot) {
+		t.Errorf("no configurations: want ErrIncompatibleSnapshot, got %v", err)
 	}
 }

@@ -56,13 +56,17 @@ type Sweep struct {
 	Seeds []int64
 
 	// Warmup fast-forwards this many instructions functionally before each
-	// cell's measured region (see WithWarmup). The warm-up is
-	// model-independent, so the sweep captures exactly one Snapshot per
-	// benchmark — extending the build-once program sharing — and forks
-	// every model cell of the row from it; an N-model sweep performs N×
-	// fewer warm-ups than per-cell WithWarmup sessions, with byte-identical
-	// results. A warm-up that fails (e.g. it runs past the program's halt)
-	// fails every cell of the row, like a failed build.
+	// cell's measured region (see WithWarmup). The warm-up's committed path
+	// depends on neither the model nor the seed, so the sweep runs one
+	// functional pass per benchmark — extending the build-once program
+	// sharing — which captures one Snapshot per seed row (only the branch
+	// predictor's start state depends on the seed), and forks every model
+	// cell of a row from its row's snapshot; an N-model, R-seed sweep
+	// performs N×R fewer warm-ups than per-cell WithWarmup sessions, with
+	// byte-identical results. Each benchmark's capture is queued one
+	// benchmark ahead of its cells, so it overlaps the previous benchmark's
+	// simulations. A warm-up that fails (e.g. it runs past the program's
+	// halt) fails every cell of the benchmark, like a failed build.
 	Warmup uint64
 
 	// Snapshots provides pre-captured warm-up snapshots per benchmark row,
@@ -112,61 +116,84 @@ type Sweep struct {
 	ProgressInterval uint64
 }
 
-// sweepRow is the state one (benchmark, seed) row shares across its model
-// cells: the immutable program (built once per benchmark, in the feeder,
-// and shared read-only by every seed row) and, when the sweep warms up,
-// the row's snapshot — captured lazily by the first worker that needs it,
-// on a worker goroutine, so captures for different rows proceed in
-// parallel. The seed travels on the row because warm-up snapshots carry
-// predictor state: replicates under different seeds warm up to different
-// machine states, so the row — the cluster's placement unit — is
-// benchmark × seed, not benchmark alone. A failed build or warm-up fails
-// every cell of the row.
-type sweepRow struct {
+// sweepGroup is the state one benchmark shares across its seed rows and
+// model cells: the immutable program (built once, in the feeder, and shared
+// read-only by every row) and, when the sweep warms up, one snapshot per
+// seed row. The warm-up's committed path is the same under every seed —
+// only the branch predictor's start state differs — so one functional pass
+// captures every row's snapshot. The feeder queues that capture as a job
+// of its own one benchmark ahead of the benchmark's cells, so a worker
+// warms benchmark b+1 while the others simulate b. A failed build or
+// warm-up fails every cell of the benchmark.
+type sweepGroup struct {
 	sw       *Sweep
 	bench    string
-	seed     int64
+	seeds    []int64
 	prog     *Program
 	buildErr error
-	// recorded carries the row's .tptrace stream for recorded-trace
+	// recorded carries the benchmark's .tptrace stream for recorded-trace
 	// benchmarks (Benchmark.Recorded); every cell opens its own cursor.
 	recorded *bench.RecordedTrace
-	// warmup is the row's effective warm-up length (WarmupFor override or
-	// the sweep-wide Warmup), resolved once at feed time.
+	// warmup is the benchmark's effective warm-up length (WarmupFor
+	// override or the sweep-wide Warmup), resolved once at feed time.
 	warmup uint64
-	// provided is the row's pre-captured snapshot (Sweep.Snapshots), which
-	// supersedes capture entirely.
+	// provided is the benchmark's pre-captured snapshot (Sweep.Snapshots),
+	// which supersedes capture entirely.
 	provided *Snapshot
 
 	capture sync.Once
-	snap    *Snapshot
+	snaps   []*Snapshot // one per seed, in seeds order
 	snapErr error
 }
 
-// snapshot returns the row's shared warm-up snapshot (nil when the sweep
-// does not warm up), capturing it on first call. The capturing goroutine
-// holds a Gate slot only for the capture itself — warm-up CPU work is
-// bounded exactly like simulation work — while concurrent callers of the
-// same row wait slot-free until the one capture finishes, leaving the
-// gate's capacity to other sweeps. The snapshot is immutable and every
-// restore copies what it takes out of it into the cell's own engine, so
-// handing it to every cell is race-free.
-func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) {
-	if r.provided != nil {
-		return r.provided, nil
-	}
-	if r.warmup == 0 {
-		return nil, nil
-	}
-	r.capture.Do(func() {
+// needsCapture reports whether the benchmark's cells restore from a
+// snapshot the sweep must capture itself.
+func (g *sweepGroup) needsCapture() bool {
+	return g.buildErr == nil && g.provided == nil && g.warmup > 0
+}
+
+// captureOnce runs the benchmark's one warm-up pass, on the first call
+// only, whether from the capture job or from a cell that got there first.
+// The capturing goroutine holds a Gate slot only for the capture itself —
+// warm-up CPU work is bounded exactly like simulation work — while
+// concurrent callers wait slot-free until the one capture finishes,
+// leaving the gate's capacity to other sweeps.
+func (g *sweepGroup) captureOnce(ctx context.Context, gate *Gate) {
+	g.capture.Do(func() {
 		if !gate.acquire(ctx) {
-			r.snapErr = ctx.Err()
+			g.snapErr = ctx.Err()
 			return
 		}
 		defer gate.release()
-		r.snap, r.snapErr = proc.CaptureSnapshot(ctx, r.prog, r.sw.cellConfig(r.seed), r.warmup)
+		cfgs := make([]Config, len(g.seeds))
+		for i, seed := range g.seeds {
+			cfgs[i] = g.sw.cellConfig(seed)
+		}
+		g.snaps, g.snapErr = proc.CaptureSnapshots(ctx, g.prog, cfgs, g.warmup)
 	})
-	return r.snap, r.snapErr
+}
+
+// sweepRow is one (benchmark, seed) row: the cluster's placement unit,
+// because warm-up snapshots carry seed-dependent predictor state.
+type sweepRow struct {
+	*sweepGroup
+	seed int64
+	i    int // index of seed in the group's seeds
+}
+
+// snapshot returns the row's warm-up snapshot (nil when the sweep does not
+// warm up), running the benchmark's capture if no worker has yet. Every
+// restore copies what it takes out of the snapshot into the cell's own
+// engine, so handing it to every cell is race-free.
+func (r sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) {
+	if !r.needsCapture() {
+		return r.provided, nil
+	}
+	r.captureOnce(ctx, gate)
+	if r.snapErr != nil {
+		return nil, r.snapErr
+	}
+	return r.snaps[r.i], nil
 }
 
 // warmupFor resolves the effective warm-up length for a benchmark row: the
@@ -178,10 +205,13 @@ func (sw *Sweep) warmupFor(bench string) uint64 {
 	return sw.Warmup
 }
 
-// sweepJob is one cell: the shared row plus the model to run it under.
+// sweepJob is one cell — the row plus the model to run it under — or,
+// when capture is set, a benchmark's warm-up capture, which delivers no
+// result.
 type sweepJob struct {
-	row   *sweepRow
-	model Model
+	row     sweepRow
+	model   Model
+	capture *sweepGroup
 }
 
 // cellConfig resolves the one configuration every cell of a seed row runs
@@ -261,6 +291,10 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 		go func() {
 			defer wg.Done()
 			for job := range jobCh {
+				if job.capture != nil {
+					job.capture.captureOnce(ctx, sw.Gate)
+					continue
+				}
 				if res := sw.runOne(ctx, job, progress); res != nil {
 					out <- res
 				}
@@ -269,31 +303,49 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 	}
 
 	go func() {
-	feed:
-		for _, bm := range sw.Benchmarks {
-			// One build per benchmark; every seed row — and every model cell
-			// within it — shares the immutable program. Each seed gets its own
-			// row because the row's warm-up snapshot captures seed-dependent
-			// predictor state (captured worker-side on first need).
-			prog, err := buildProgram(bm, sw.TargetInsts)
-			for _, seed := range seeds {
-				row := &sweepRow{sw: sw, bench: bm.Name, seed: seed, prog: prog,
-					buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name),
-					provided: sw.Snapshots[bm.Name]}
+		defer func() {
+			close(jobCh)
+			wg.Wait()
+			close(out)
+		}()
+		send := func(job sweepJob) bool {
+			select {
+			case jobCh <- job:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		}
+		// One build per benchmark; every seed row — and every model cell
+		// within it — shares the immutable program. Benchmark b's capture
+		// is queued ahead of benchmark b-1's cells, so the warm-up pass
+		// overlaps b-1's simulations instead of stalling b's cells.
+		cells := func(g *sweepGroup) bool {
+			for i, seed := range seeds {
 				for _, m := range sw.Models {
-					select {
-					case jobCh <- sweepJob{row: row, model: m}:
-					case <-ctx.Done():
-						break feed
+					if !send(sweepJob{row: sweepRow{g, seed, i}, model: m}) {
+						return false
 					}
 				}
 			}
+			return true
 		}
-		close(jobCh)
-		wg.Wait()
-		close(out)
+		var prev *sweepGroup
+		for _, bm := range sw.Benchmarks {
+			prog, err := buildProgram(bm, sw.TargetInsts)
+			g := &sweepGroup{sw: sw, bench: bm.Name, seeds: seeds, prog: prog,
+				buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name),
+				provided: sw.Snapshots[bm.Name]}
+			if g.needsCapture() && !send(sweepJob{capture: g}) {
+				return
+			}
+			if prev != nil && !cells(prev) {
+				return
+			}
+			prev = g
+		}
+		cells(prev)
 	}()
-
 	return out
 }
 
@@ -338,8 +390,8 @@ func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(Progres
 	if row.buildErr != nil {
 		return fail(fmt.Errorf("tracep: %s: %w", row.bench, row.buildErr))
 	}
-	// The row's one warm-up capture runs under its own gate slot (see
-	// sweepRow.snapshot); a cell whose warm-up was abandoned by
+	// The benchmark's one warm-up capture runs under its own gate slot (see
+	// sweepGroup.captureOnce); a cell whose warm-up was abandoned by
 	// cancellation never started, so — like a cell still waiting for a
 	// slot below — it is not delivered.
 	snap, err := row.snapshot(ctx, sw.Gate)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,6 +253,47 @@ func TestSweepStreamExactlyOnceUnderCancellation(t *testing.T) {
 	}
 }
 
+// TestSweepCancelDuringCapture cancels a warmed four-seed sweep while its
+// first benchmark's warm-up capture runs. No benchmark has been captured,
+// so no cell may be delivered; the stream must still close promptly, and
+// every worker, feeder and capture goroutine must exit.
+func TestSweepCancelDuringCapture(t *testing.T) {
+	const warm = 50_000_000 // seconds of functional warm-up per benchmark
+	before := runtime.NumGoroutine()
+	var started atomic.Bool
+	sw := tracep.Sweep{
+		Benchmarks:  tracep.Benchmarks(),
+		Models:      tracep.Models(),
+		TargetInsts: warm + 10_000,
+		Warmup:      warm,
+		Seeds:       []int64{7, 8, 9, 10},
+		Parallelism: 2,
+		Progress:    func(tracep.ProgressEvent) { started.Store(true) },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+
+	start := time.Now()
+	for res := range sw.Stream(ctx) {
+		t.Errorf("cell %s/%s seed %d delivered before its benchmark was captured (err %v)",
+			res.Benchmark, res.Model, res.Seed, res.Err())
+	}
+	if elapsed := time.Since(start); elapsed > 15*time.Second {
+		t.Errorf("cancelled stream took %v, want prompt close", elapsed)
+	}
+	if started.Load() {
+		t.Error("a cell simulated before the first capture finished")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the stream closed, %d before the sweep", n, before)
+	}
+}
+
 // TestSweepInvalidBenchmarkFailsItsRow: an unbuildable Benchmark (here the
 // zero value) fails every cell of its row with ErrInvalidBenchmark instead
 // of panicking, and the other rows are unaffected.
@@ -322,65 +364,81 @@ func TestSweepCapturesPerRunErrors(t *testing.T) {
 // shared Gate(1) and demands that no two simulations are ever mid-run at
 // the same time, whatever each sweep's own Parallelism says. The active
 // set is tracked from progress events: a run is live from its first event
-// until its Done event (both delivered inside the gated section).
+// until its Done event (both delivered inside the gated section). The
+// warmed two-seed case adds capture jobs, which take gate slots too: a
+// cell waiting for its benchmark's capture must hold no slot, or Gate(1)
+// would deadlock the capture queued behind it.
 func TestSweepSharedGateBounds(t *testing.T) {
 	benches, models := sweepFixture(t)
-	gate := tracep.NewGate(1)
-	if gate.Cap() != 1 {
-		t.Fatalf("gate cap = %d, want 1", gate.Cap())
-	}
+	for _, tc := range []struct {
+		name   string
+		warmup uint64
+		seeds  []int64
+	}{
+		{name: "cold"},
+		{name: "warmed-2-seeds", warmup: 2_000, seeds: []int64{3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := tracep.NewGate(1)
+			if gate.Cap() != 1 {
+				t.Fatalf("gate cap = %d, want 1", gate.Cap())
+			}
 
-	var mu sync.Mutex
-	live := make(map[string]bool)
-	maxLive := 0
-	hook := func(sweepID string) func(tracep.ProgressEvent) {
-		return func(ev tracep.ProgressEvent) {
-			key := sweepID + "/" + ev.Benchmark + "/" + ev.Model
-			mu.Lock()
-			defer mu.Unlock()
-			if ev.Done {
-				delete(live, key)
-				return
+			var mu sync.Mutex
+			live := make(map[string]bool)
+			maxLive := 0
+			hook := func(sweepID string) func(tracep.ProgressEvent) {
+				return func(ev tracep.ProgressEvent) {
+					key := sweepID + "/" + ev.Benchmark + "/" + ev.Model
+					mu.Lock()
+					defer mu.Unlock()
+					if ev.Done {
+						delete(live, key)
+						return
+					}
+					live[key] = true
+					if len(live) > maxLive {
+						maxLive = len(live)
+					}
+				}
 			}
-			live[key] = true
-			if len(live) > maxLive {
-				maxLive = len(live)
-			}
-		}
-	}
 
-	var wg sync.WaitGroup
-	for _, id := range []string{"A", "B"} {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sw := tracep.Sweep{
-				Benchmarks:       benches,
-				Models:           models,
-				TargetInsts:      5_000,
-				Parallelism:      4,
-				Gate:             gate,
-				ProgressInterval: 500,
-				Progress:         hook(id),
+			cells := len(benches) * len(models) * max(len(tc.seeds), 1)
+			var wg sync.WaitGroup
+			for _, id := range []string{"A", "B"} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sw := tracep.Sweep{
+						Benchmarks:       benches,
+						Models:           models,
+						TargetInsts:      5_000 + tc.warmup,
+						Warmup:           tc.warmup,
+						Seeds:            tc.seeds,
+						Parallelism:      4,
+						Gate:             gate,
+						ProgressInterval: 500,
+						Progress:         hook(id),
+					}
+					rs, err := sw.Run(context.Background())
+					if err != nil {
+						t.Errorf("sweep %s: %v", id, err)
+						return
+					}
+					if err := rs.Err(); err != nil {
+						t.Errorf("sweep %s: %v", id, err)
+					}
+					if rs.Len() != cells {
+						t.Errorf("sweep %s recorded %d cells, want %d", id, rs.Len(), cells)
+					}
+				}()
 			}
-			rs, err := sw.Run(context.Background())
-			if err != nil {
-				t.Errorf("sweep %s: %v", id, err)
-				return
-			}
-			if err := rs.Err(); err != nil {
-				t.Errorf("sweep %s: %v", id, err)
-			}
-			if rs.Len() != len(benches)*len(models) {
-				t.Errorf("sweep %s recorded %d cells, want %d", id, rs.Len(), len(benches)*len(models))
-			}
-		}()
-	}
-	wg.Wait()
+			wg.Wait()
 
-	if maxLive > 1 {
-		t.Errorf("observed %d concurrent simulations across sweeps, gate allows 1", maxLive)
+			if maxLive > 1 {
+				t.Errorf("observed %d concurrent simulations across sweeps, gate allows 1", maxLive)
+			}
+		})
 	}
 }
 
