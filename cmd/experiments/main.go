@@ -4,10 +4,11 @@
 // Figure 9 (selection-only IPC deltas) and Figure 10 (control independence
 // performance), plus the configuration and benchmark tables (1-2).
 //
-// The (benchmark × model) cross-product runs through tracep.Sweep on a
-// bounded worker pool; -j controls the parallelism and Ctrl-C cancels the
-// sweep cleanly mid-run. Each benchmark program is built once and shared
-// across all model cells.
+// The flags build one tracep.Spec — the grid by name, the same JSON type
+// tracepd accepts — which resolves to a tracep.Sweep over the (benchmark ×
+// model) cross-product on a bounded worker pool; -j controls the
+// parallelism and Ctrl-C cancels the sweep cleanly mid-run. Each benchmark
+// program is built once and shared across all model cells.
 //
 // A saved -json ResultSet doubles as a replay input and a regression
 // baseline: -results renders the paper tables from the file with zero
@@ -38,7 +39,7 @@
 //	                                   # run the sweep on a remote tracepd, stream
 //	                                   # cells back, render the same tables
 //
-// With -server the grid is submitted to a tracepd instance (see
+// With -server the same Spec is submitted to a tracepd instance (see
 // cmd/tracepd) and cells stream back over NDJSON as they complete; the
 // collected ResultSet is byte-identical to a local run, so -json, -baseline
 // and the tables behave the same either way. -j then has no effect — the
@@ -53,9 +54,12 @@
 // miss rates (rise per 1000 insts); -tolerances sets all of them at once
 // as k=v pairs ("ipc=2,miss=0.5,allow-missing") or Tolerances JSON, and
 // defaults to ipc=2. The count gates default to 0 — any rise regresses —
-// because simulations are deterministic. With -seeds replicates, the gate
-// is interval-aware: a metric regresses only when its mean drifts beyond
-// tolerance AND the two 95% confidence intervals are disjoint. Cells whose
+// because simulations are deterministic; every tolerance must be finite
+// and >= 0. The gate is interval-aware: a metric regresses only when its
+// mean drifts beyond tolerance AND the two 95% confidence intervals are
+// disjoint. Without -seeds each cell is one replicate, a zero-width
+// interval, so the gate compares exact points. -warmup-for may name any
+// row of the grid, recordings included. Cells whose
 // warm-up differs from the baseline's are incomparable and always regress:
 // refresh the baseline (commit label [refresh-baseline] triggers the
 // baseline-refresh workflow) or align -warmup.
@@ -72,14 +76,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 
 	"tracep"
 	"tracep/client"
 	"tracep/internal/report"
-	"tracep/server"
 )
 
 func main() {
@@ -151,7 +153,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		rs, ctxErr = runSweep(ctx, *serverURL, *benchList, *corpusDir, *n, *warmup, warmFor, seeds, *j, *progress, *jsonOut, wantTable, wantFigure)
+		spec := tracep.Spec{Benchmarks: splitList(*benchList), TargetInsts: *n, Seeds: seeds, Warmup: *warmup, WarmupFor: warmFor}
+		rs, ctxErr = runSweep(ctx, *serverURL, spec, *corpusDir, *j, *progress, *jsonOut, wantTable, wantFigure)
 	}
 
 	runErr := rs.Err()
@@ -214,52 +217,26 @@ func main() {
 // runSweep executes the live cross-product for the models the requested
 // tables/figures need — in-process, or on a remote tracepd when serverURL
 // is set — and returns the (possibly partial) set plus the context error,
-// mirroring Sweep.Run.
-func runSweep(ctx context.Context, serverURL, benchList, corpusDir string, n, warmup uint64, warmupFor map[string]uint64,
-	seeds []int64, j int, progress, jsonOut bool, wantTable, wantFigure func(int) bool) (*tracep.ResultSet, error) {
-	var suite []tracep.Benchmark
-	var err error
-	// -corpus without -bench sweeps the recordings alone — mirroring the
-	// server's "empty Benchmarks + Corpus = corpus only" request semantics.
-	if benchList != "" || corpusDir == "" {
-		if suite, err = selectBenchmarks(benchList); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var corpus []tracep.Benchmark
+// mirroring Sweep.Run. Both paths run the same tracep.Spec: locally it is
+// resolved against the -corpus directory, remotely the server resolves the
+// recordings by name against its own corpus.
+func runSweep(ctx context.Context, serverURL string, spec tracep.Spec, corpusDir string,
+	j int, progress, jsonOut bool, wantTable, wantFigure func(int) bool) (*tracep.ResultSet, error) {
+	corpus := map[string]tracep.Benchmark{}
 	if corpusDir != "" {
-		if corpus, err = tracep.Corpus(corpusDir); err != nil {
+		bms, err := tracep.Corpus(corpusDir)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "loading -corpus: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	benches := append(append([]tracep.Benchmark(nil), suite...), corpus...)
-	// Match the server's contract: an override naming a benchmark outside
-	// the requested grid is an error, not a silent no-op. Sorted so the
-	// reported name is deterministic when several overrides are bad.
-	overrideNames := make([]string, 0, len(warmupFor))
-	for name := range warmupFor { //tracep:orderinvariant sorted below
-		overrideNames = append(overrideNames, name)
-	}
-	sort.Strings(overrideNames)
-	for _, name := range overrideNames {
-		found := false
-		for _, bm := range benches {
-			if bm.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "-warmup-for names %q, which is not in the requested grid\n", name)
-			os.Exit(1)
+		for _, bm := range bms {
+			spec.Corpus = append(spec.Corpus, bm.Name)
+			corpus[bm.Name] = bm
 		}
 	}
 
 	needSelection := wantTable(3) || wantTable(4) || wantTable(5) || wantFigure(9)
 	needCI := wantFigure(10)
-
 	var models []tracep.Model
 	if needSelection {
 		models = append(models, tracep.SelectionModels()...)
@@ -275,20 +252,21 @@ func runSweep(ctx context.Context, serverURL, benchList, corpusDir string, n, wa
 		// tables/figures would need.
 		models = tracep.Models()
 	}
+	spec.Models = modelNames(models)
 
+	sw, err := spec.Resolve(corpus)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if len(models) == 0 {
+		// Only tables 1/2 requested: nothing to simulate.
+		return tracep.NewResultSet(), nil
+	}
 	if serverURL != "" {
-		return runRemote(ctx, serverURL, suite, benchNames(corpus), models, n, warmup, warmupFor, seeds, progress)
+		return runRemote(ctx, serverURL, spec, progress)
 	}
-
-	sw := tracep.Sweep{
-		Benchmarks:  benches,
-		Models:      models,
-		TargetInsts: n,
-		Warmup:      warmup,
-		WarmupFor:   warmupFor,
-		Seeds:       seeds,
-		Parallelism: j,
-	}
+	sw.Parallelism = j
 	if progress {
 		sw.Progress = func(ev tracep.ProgressEvent) {
 			if ev.Done {
@@ -300,25 +278,11 @@ func runSweep(ctx context.Context, serverURL, benchList, corpusDir string, n, wa
 	return sw.Run(ctx)
 }
 
-// runRemote submits the grid to a tracepd instance and streams the cells
-// back; the collected ResultSet is byte-identical to a local run. Corpus
-// workloads travel by name only — the server replays its own recordings.
-// Remote failures other than cancellation are fatal (exit 1) — there is no
+// runRemote submits spec to a tracepd instance and streams the cells back;
+// the collected ResultSet is byte-identical to a local run. Remote
+// failures other than cancellation are fatal (exit 1) — there is no
 // partial set worth rendering when the server is unreachable.
-func runRemote(ctx context.Context, serverURL string, benches []tracep.Benchmark, corpus []string,
-	models []tracep.Model, n, warmup uint64, warmupFor map[string]uint64, seeds []int64, progress bool) (*tracep.ResultSet, error) {
-	if (len(benches) == 0 && len(corpus) == 0) || len(models) == 0 {
-		return tracep.NewResultSet(), nil
-	}
-	req := server.SweepRequest{
-		Benchmarks:  benchNames(benches),
-		Corpus:      corpus,
-		Models:      modelNames(models),
-		TargetInsts: n,
-		Warmup:      warmup,
-		WarmupFor:   warmupFor,
-		Seeds:       seeds,
-	}
+func runRemote(ctx context.Context, serverURL string, spec tracep.Spec, progress bool) (*tracep.ResultSet, error) {
 	var fn func(*tracep.Result) error
 	if progress {
 		fn = func(res *tracep.Result) error {
@@ -331,7 +295,7 @@ func runRemote(ctx context.Context, serverURL string, benches []tracep.Benchmark
 			return nil
 		}
 	}
-	rs, err := client.New(serverURL).Run(ctx, req, fn)
+	rs, err := client.New(serverURL).Run(ctx, spec, fn)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -390,8 +354,8 @@ func parseSeeds(spec string) ([]int64, error) {
 	return out, nil
 }
 
-// parseWarmupFor parses -warmup-for's name=insts[,name=insts...] syntax,
-// validating names against the suite.
+// parseWarmupFor parses -warmup-for's name=insts[,name=insts...] syntax;
+// the names are checked against the grid when the spec resolves.
 func parseWarmupFor(spec string) (map[string]uint64, error) {
 	if spec == "" {
 		return nil, nil
@@ -402,32 +366,24 @@ func parseWarmupFor(spec string) (map[string]uint64, error) {
 		if !ok {
 			return nil, fmt.Errorf("-warmup-for: %q is not name=insts", pair)
 		}
-		name = strings.TrimSpace(name)
-		if _, err := tracep.BenchmarkByName(name); err != nil {
-			return nil, fmt.Errorf("-warmup-for: %w", err)
-		}
 		n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("-warmup-for: bad instruction count in %q: %v", pair, err)
 		}
-		out[name] = n
+		out[strings.TrimSpace(name)] = n
 	}
 	return out, nil
 }
 
-func selectBenchmarks(list string) ([]tracep.Benchmark, error) {
-	if list == "" {
-		return tracep.Benchmarks(), nil
+func splitList(s string) []string {
+	if s == "" {
+		return nil
 	}
-	var out []tracep.Benchmark
-	for _, name := range strings.Split(list, ",") {
-		bm, err := tracep.BenchmarkByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bm)
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		out = append(out, strings.TrimSpace(part))
 	}
-	return out, nil
+	return out
 }
 
 func loadResultSet(path string) (*tracep.ResultSet, error) {
@@ -440,14 +396,6 @@ func loadResultSet(path string) (*tracep.ResultSet, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rs, nil
-}
-
-func benchNames(bms []tracep.Benchmark) []string {
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	return names
 }
 
 func modelNames(ms []tracep.Model) []string {

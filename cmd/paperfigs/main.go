@@ -6,7 +6,7 @@
 // tables report mean±95% CI (Student-t), so figure deltas come with the
 // uncertainty the SimPoint-style methodology literature asks for.
 //
-// The grid can come from flags or from a JSON spec file:
+// The grid is one tracep.Spec, from flags or from a JSON spec file:
 //
 //	paperfigs                                # all four scenario families, 3 seeds
 //	paperfigs -scenarios dense-branch,mixed  # family subset
@@ -17,8 +17,11 @@
 //	paperfigs -json > grid.json              # machine-readable ResultSet
 //	paperfigs -spec grid.json.spec           # the same grid, declaratively
 //
-// A spec file is the JSON form of the flag grid (see GridSpec); flags
-// other than -spec are ignored when it is given:
+// A spec file is a tracep.Spec in JSON — the body tracepd's POST
+// /v1/sweeps accepts — and keeps the flag defaults for what it leaves
+// empty (all four families, scenario seed 1, the selection-only models,
+// seeds 1,2,3, 100000 instructions), so a file names only what it
+// changes. Grid flags are ignored when it is given:
 //
 //	{
 //	  "scenarios": ["ptr-chase", "mixed"],
@@ -33,6 +36,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -46,33 +50,8 @@ import (
 	"tracep/internal/report"
 )
 
-// GridSpec is the declarative form of the paperfigs grid: which workloads
-// (scenario families instantiated per scenario seed, plus fixed suite
-// benchmarks), which models, and which predictor seeds replicate each cell.
-type GridSpec struct {
-	// Scenarios names workload families from tracep.Scenarios(); empty =
-	// all four.
-	Scenarios []string `json:"scenarios,omitempty"`
-	// ScenarioSeeds are the generator seeds each family is instantiated
-	// under (one benchmark per family × seed); empty = {1}.
-	ScenarioSeeds []int64 `json:"scenario_seeds,omitempty"`
-	// Benchmarks names fixed suite workloads to append after the scenario
-	// rows (tracep.BenchmarkByName).
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Models names the model columns (tracep.ModelByName); empty = the
-	// selection-only models of Table 3.
-	Models []string `json:"models,omitempty"`
-	// Seeds is the predictor-seed replicate axis (tracep.Sweep.Seeds);
-	// empty = {1, 2, 3}.
-	Seeds []int64 `json:"seeds,omitempty"`
-	// TargetInsts sizes each run; 0 = 100000.
-	TargetInsts uint64 `json:"target_insts,omitempty"`
-	// Warmup fast-forwards each cell's measured region (tracep.Sweep.Warmup).
-	Warmup uint64 `json:"warmup,omitempty"`
-}
-
 func main() {
-	specFile := flag.String("spec", "", "JSON GridSpec file; other grid flags are ignored when set")
+	specFile := flag.String("spec", "", "JSON tracep.Spec file; other grid flags are ignored when set")
 	scenarios := flag.String("scenarios", "", "comma-separated scenario families (default: all four; see tracep.Scenarios)")
 	scenarioSeeds := flag.String("scenario-seeds", "1", "comma-separated generator seeds instantiating each family")
 	benchList := flag.String("bench", "", "comma-separated fixed suite benchmarks to append to the grid")
@@ -84,29 +63,20 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the ResultSet as JSON instead of formatted tables")
 	flag.Parse()
 
-	spec, err := specFromFlags(*specFile, *scenarios, *scenarioSeeds, *benchList, *modelList, *seedsList, *n, *warmup)
+	spec, err := gridSpec(*specFile, *scenarios, *scenarioSeeds, *benchList, *modelList, *seedsList, *n, *warmup)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	benches, models, err := spec.resolve()
+	sw, err := spec.Resolve(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	sw.Parallelism = *j
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	sw := tracep.Sweep{
-		Benchmarks:  benches,
-		Models:      models,
-		TargetInsts: spec.TargetInsts,
-		Warmup:      spec.Warmup,
-		Seeds:       spec.Seeds,
-		Parallelism: *j,
-	}
 	rs, ctxErr := sw.Run(ctx)
 	if err := rs.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -123,7 +93,7 @@ func main() {
 		if ctxErr != nil {
 			fmt.Fprintf(os.Stderr, "sweep interrupted (%v); tables below are partial\n", ctxErr)
 		}
-		render(rs, models)
+		render(rs, sw.Models)
 	}
 
 	switch {
@@ -134,91 +104,51 @@ func main() {
 	}
 }
 
-// specFromFlags loads the spec file when given, or assembles a GridSpec
-// from the individual flags.
-func specFromFlags(specFile, scenarios, scenarioSeeds, benchList, modelList, seedsList string, n, warmup uint64) (GridSpec, error) {
+// gridSpec reads the spec file when one is given, or builds the spec from
+// the grid flags, then fills what it leaves empty with paperfigs' defaults:
+// all four scenario families, the selection-only models, seeds 1,2,3 and
+// 100000 instructions (Resolve itself defaults scenario seeds to {1}).
+func gridSpec(specFile, scenarios, scenarioSeeds, benchList, modelList, seedsList string, n, warmup uint64) (tracep.Spec, error) {
+	var spec tracep.Spec
 	if specFile != "" {
 		data, err := os.ReadFile(specFile)
 		if err != nil {
-			return GridSpec{}, err
+			return spec, err
 		}
-		var spec GridSpec
-		dec := json.NewDecoder(strings.NewReader(string(data)))
+		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			return GridSpec{}, fmt.Errorf("%s: %w", specFile, err)
+			return spec, fmt.Errorf("%s: %w", specFile, err)
 		}
-		return spec, nil
-	}
-	scSeeds, err := parseSeedList("-scenario-seeds", scenarioSeeds)
-	if err != nil {
-		return GridSpec{}, err
-	}
-	seeds, err := parseSeedList("-seeds", seedsList)
-	if err != nil {
-		return GridSpec{}, err
-	}
-	return GridSpec{
-		Scenarios:     splitList(scenarios),
-		ScenarioSeeds: scSeeds,
-		Benchmarks:    splitList(benchList),
-		Models:        splitList(modelList),
-		Seeds:         seeds,
-		TargetInsts:   n,
-		Warmup:        warmup,
-	}, nil
-}
-
-// resolve materialises the spec's workload and model axes, applying the
-// documented defaults.
-func (g *GridSpec) resolve() ([]tracep.Benchmark, []tracep.Model, error) {
-	families := tracep.Scenarios()
-	if len(g.Scenarios) > 0 {
-		families = families[:0]
-		for _, name := range g.Scenarios {
-			sc, err := tracep.ScenarioByName(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			families = append(families, sc)
-		}
-	}
-	scSeeds := g.ScenarioSeeds
-	if len(scSeeds) == 0 {
-		scSeeds = []int64{1}
-	}
-	var benches []tracep.Benchmark
-	for _, sc := range families {
-		benches = append(benches, sc.Benchmarks(scSeeds...)...)
-	}
-	for _, name := range g.Benchmarks {
-		bm, err := tracep.BenchmarkByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		benches = append(benches, bm)
-	}
-
-	var models []tracep.Model
-	if len(g.Models) == 0 {
-		models = tracep.SelectionModels()
 	} else {
-		for _, name := range g.Models {
-			md, ok := tracep.ModelByName(name)
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown model %q", name)
-			}
-			models = append(models, md)
+		scSeeds, err := parseSeedList("-scenario-seeds", scenarioSeeds)
+		if err != nil {
+			return spec, err
+		}
+		seeds, err := parseSeedList("-seeds", seedsList)
+		if err != nil {
+			return spec, err
+		}
+		spec = tracep.Spec{Scenarios: splitList(scenarios), ScenarioSeeds: scSeeds, Benchmarks: splitList(benchList),
+			Models: splitList(modelList), Seeds: seeds, TargetInsts: n, Warmup: warmup}
+	}
+	if len(spec.Scenarios) == 0 {
+		for _, sc := range tracep.Scenarios() {
+			spec.Scenarios = append(spec.Scenarios, sc.Name)
 		}
 	}
-
-	if len(g.Seeds) == 0 {
-		g.Seeds = []int64{1, 2, 3}
+	if len(spec.Models) == 0 {
+		for _, md := range tracep.SelectionModels() {
+			spec.Models = append(spec.Models, md.Name)
+		}
 	}
-	if g.TargetInsts == 0 {
-		g.TargetInsts = 100_000
+	if len(spec.Seeds) == 0 {
+		spec.Seeds = []int64{1, 2, 3}
 	}
-	return benches, models, nil
+	if spec.TargetInsts == 0 {
+		spec.TargetInsts = 100_000
+	}
+	return spec, nil
 }
 
 // render writes the statistical variants of the paper's displays: Table 3

@@ -66,9 +66,11 @@ type Tolerances struct {
 //     (CacheMissPer1000), and allow-missing (bool; bare "allow-missing"
 //     means true) — e.g. "ipc=2,miss=0.5,allow-missing".
 //
-// An empty spec returns the zero (strictest) Tolerances. cmd/experiments'
-// -tolerances flag and server.SweepRequest.Tolerances both speak this
-// encoding.
+// An empty spec returns the zero (strictest) Tolerances. Every tolerance
+// must be finite and >= 0: a NaN would switch its check off (no comparison
+// with NaN is true) and a negative one would fail cells that did not
+// regress. cmd/experiments' -tolerances flag and Spec.Tolerances both
+// speak this encoding.
 func ParseTolerances(spec string) (Tolerances, error) {
 	var tol Tolerances
 	s := strings.TrimSpace(spec)
@@ -80,6 +82,9 @@ func ParseTolerances(spec string) (Tolerances, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&tol); err != nil {
 			return Tolerances{}, fmt.Errorf("tracep: parsing tolerances JSON: %w", err)
+		}
+		if err := tol.validate(); err != nil {
+			return Tolerances{}, fmt.Errorf("tracep: %w", err)
 		}
 		return tol, nil
 	}
@@ -124,7 +129,29 @@ func ParseTolerances(spec string) (Tolerances, error) {
 			return Tolerances{}, err
 		}
 	}
+	if err := tol.validate(); err != nil {
+		return Tolerances{}, fmt.Errorf("tracep: %w", err)
+	}
 	return tol, nil
+}
+
+// validate rejects a tolerance that is NaN, infinite or negative, naming
+// its k=v key and JSON field.
+func (t Tolerances) validate() error {
+	for _, f := range []struct {
+		key, field string
+		v          float64
+	}{
+		{"ipc", "ipc_pct", t.IPCPct},
+		{"tmisp", "trace_misp_per_1000", t.TraceMispPer1000},
+		{"recoveries", "recoveries_pct", t.RecoveriesPct},
+		{"miss", "cache_miss_per_1000", t.CacheMissPer1000},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("tolerance %q (%s) is %v; want a finite value >= 0", f.key, f.field, f.v)
+		}
+	}
+	return nil
 }
 
 // DiffKind classifies one cell of a Diff.
@@ -164,8 +191,8 @@ type CellDelta struct {
 	CurrentIPC  float64 `json:"current_ipc,omitempty"`
 	// BaselineN/CurrentN count each side's successful seed replicates, and
 	// BaselineIPCCI/CurrentIPCCI carry the 95% CI half-widths on the mean
-	// IPC. Populated only on the interval-gated path (either side N > 1);
-	// single-point comparisons leave them zero, keeping pre-seeds diff JSON
+	// IPC. Populated only when either side has N > 1; a comparison of two
+	// single replicates leaves them zero, keeping pre-seeds diff JSON
 	// byte-identical.
 	BaselineN     int     `json:"baseline_n,omitempty"`
 	CurrentN      int     `json:"current_n,omitempty"`
@@ -211,12 +238,12 @@ type Diff struct {
 
 // Diff compares r (the current results) against baseline under tol,
 // cell by cell — a multi-seed set's replicates are aggregated into their
-// cell's CellStats distributions first. Single-replicate cells on both
-// sides compare as exact points, the pre-seeds behaviour bit-for-bit; once
-// either side carries replicates the gate becomes interval-aware: a metric
-// regresses only when its mean drifts beyond tolerance AND the two 95%
-// confidence intervals are disjoint, so replicate noise within overlapping
-// intervals never fails the gate.
+// cell's CellStats distributions first. The gate is interval-aware: a
+// metric regresses only when its mean drifts beyond tolerance AND the two
+// 95% confidence intervals are disjoint, so replicate noise within
+// overlapping intervals never fails the gate. A single replicate is a
+// zero-width interval, so single-replicate cells on both sides compare as
+// exact points, the pre-seeds behaviour bit-for-bit.
 //
 // Only cells with statistics participate as successes; failed cells count
 // as absent on their side (a baseline failure that now succeeds is
@@ -260,6 +287,15 @@ func (r *ResultSet) Diff(baseline *ResultSet, tol Tolerances) *Diff {
 	return d
 }
 
+// compareCell gates one cell present in the baseline. It is the one gate:
+// each metric regresses only when its mean drifts beyond the tolerance AND
+// the two 95% confidence intervals are disjoint in the regressing
+// direction. A single-replicate side's interval is its point (CIHalf 0),
+// and tolerances are never negative, so with one replicate on each side
+// every condition reduces to the plain point comparison. Replicate counts,
+// half-widths and the "95% CIs disjoint" wording appear only when either
+// side has N > 1, which keeps single-replicate diffs byte-identical to the
+// pre-seeds output.
 func compareCell(r, baseline *ResultSet, bench, model string, tol Tolerances) CellDelta {
 	base, _ := baseline.Get(bench, model)
 	c := CellDelta{Benchmark: bench, Model: model, BaselineIPC: base.IPC()}
@@ -285,79 +321,23 @@ func compareCell(r, baseline *ResultSet, bench, model string, tol Tolerances) Ce
 			base.WarmupInsts, cur.WarmupInsts)
 		return c
 	}
-	baseCell, _ := baseline.Cell(bench, model)
-	curCell, _ := r.Cell(bench, model)
-	if baseCell.N > 1 || curCell.N > 1 {
-		return compareIntervals(c, baseCell, curCell, tol)
+	bc, _ := baseline.Cell(bench, model)
+	cc, _ := r.Cell(bench, model)
+	suffix := ""
+	if bc.N > 1 || cc.N > 1 {
+		c.BaselineN, c.CurrentN = bc.N, cc.N
+		c.BaselineIPCCI, c.CurrentIPCCI = bc.IPC.CIHalf, cc.IPC.CIHalf
+		suffix = ", 95% CIs disjoint"
 	}
-	c.BaselineTraceMisp = base.TraceMispPer1000()
-	c.CurrentTraceMisp = cur.TraceMispPer1000()
-	c.BaselineRecoveries = base.Recoveries
-	c.CurrentRecoveries = cur.Recoveries
-	c.BaselineICacheMiss = base.ICMissPer1000()
-	c.CurrentICacheMiss = cur.ICMissPer1000()
-	c.BaselineDCacheMiss = base.DCMissPer1000()
-	c.CurrentDCacheMiss = cur.DCMissPer1000()
-	if c.BaselineIPC > 0 {
-		c.DeltaPct = 100 * (c.CurrentIPC - c.BaselineIPC) / c.BaselineIPC
-	}
-
-	var reasons []string
-	if c.DeltaPct < -tol.IPCPct {
-		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%)", -c.DeltaPct, tol.IPCPct))
-	}
-	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 {
-		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.TraceMispPer1000))
-	}
-	if cur.Recoveries > base.Recoveries {
-		exceeded := base.Recoveries == 0
-		if !exceeded {
-			pct := 100 * float64(cur.Recoveries-base.Recoveries) / float64(base.Recoveries)
-			exceeded = pct > tol.RecoveriesPct
-		}
-		if exceeded {
-			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%)",
-				base.Recoveries, cur.Recoveries, tol.RecoveriesPct))
-		}
-	}
-	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 {
-		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.CacheMissPer1000))
-	}
-	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 {
-		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.CacheMissPer1000))
-	}
-	if len(reasons) > 0 {
-		c.Kind = DiffRegression
-		c.Regression = true
-		c.Detail = strings.Join(reasons, "; ")
-	} else {
-		c.Kind = DiffOK
-	}
-	return c
-}
-
-// compareIntervals gates one cell with at least one multi-replicate side:
-// every metric regresses only when its mean drifts beyond the tolerance
-// AND the two 95% confidence intervals are disjoint in the regressing
-// direction. A single-replicate side's interval is its point (CIHalf 0),
-// so each condition reduces exactly to the legacy point comparison when
-// both sides degenerate — but that case never reaches here (compareCell
-// keeps it on the bit-identical legacy path).
-func compareIntervals(c CellDelta, base, cur CellStats, tol Tolerances) CellDelta {
-	c.BaselineN, c.CurrentN = base.N, cur.N
-	c.BaselineIPC, c.CurrentIPC = base.IPC.Mean, cur.IPC.Mean
-	c.BaselineIPCCI, c.CurrentIPCCI = base.IPC.CIHalf, cur.IPC.CIHalf
-	c.BaselineTraceMisp = base.TraceMispPer1000.Mean
-	c.CurrentTraceMisp = cur.TraceMispPer1000.Mean
-	c.BaselineRecoveries = uint64(math.Round(base.Recoveries.Mean))
-	c.CurrentRecoveries = uint64(math.Round(cur.Recoveries.Mean))
-	c.BaselineICacheMiss = base.ICMissPer1000.Mean
-	c.CurrentICacheMiss = cur.ICMissPer1000.Mean
-	c.BaselineDCacheMiss = base.DCMissPer1000.Mean
-	c.CurrentDCacheMiss = cur.DCMissPer1000.Mean
+	c.BaselineIPC, c.CurrentIPC = bc.IPC.Mean, cc.IPC.Mean
+	c.BaselineTraceMisp = bc.TraceMispPer1000.Mean
+	c.CurrentTraceMisp = cc.TraceMispPer1000.Mean
+	c.BaselineRecoveries = uint64(math.Round(bc.Recoveries.Mean))
+	c.CurrentRecoveries = uint64(math.Round(cc.Recoveries.Mean))
+	c.BaselineICacheMiss = bc.ICMissPer1000.Mean
+	c.CurrentICacheMiss = cc.ICMissPer1000.Mean
+	c.BaselineDCacheMiss = bc.DCMissPer1000.Mean
+	c.CurrentDCacheMiss = cc.DCMissPer1000.Mean
 	if c.BaselineIPC > 0 {
 		c.DeltaPct = 100 * (c.CurrentIPC - c.BaselineIPC) / c.BaselineIPC
 	}
@@ -368,32 +348,32 @@ func compareIntervals(c CellDelta, base, cur CellStats, tol Tolerances) CellDelt
 	credRise := func(b, cu Dist) bool { _, bHi := b.Interval(); cLo, _ := cu.Interval(); return cLo > bHi }
 
 	var reasons []string
-	if c.DeltaPct < -tol.IPCPct && credDrop(base.IPC, cur.IPC) {
-		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%, 95%% CIs disjoint)",
-			-c.DeltaPct, tol.IPCPct))
+	if c.DeltaPct < -tol.IPCPct && credDrop(bc.IPC, cc.IPC) {
+		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%%s)",
+			-c.DeltaPct, tol.IPCPct, suffix))
 	}
-	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 && credRise(base.TraceMispPer1000, cur.TraceMispPer1000) {
-		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.TraceMispPer1000))
+	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 && credRise(bc.TraceMispPer1000, cc.TraceMispPer1000) {
+		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.TraceMispPer1000, suffix))
 	}
-	if cur.Recoveries.Mean > base.Recoveries.Mean && credRise(base.Recoveries, cur.Recoveries) {
-		exceeded := base.Recoveries.Mean == 0
+	if cc.Recoveries.Mean > bc.Recoveries.Mean && credRise(bc.Recoveries, cc.Recoveries) {
+		exceeded := bc.Recoveries.Mean == 0
 		if !exceeded {
-			pct := 100 * (cur.Recoveries.Mean - base.Recoveries.Mean) / base.Recoveries.Mean
+			pct := 100 * (cc.Recoveries.Mean - bc.Recoveries.Mean) / bc.Recoveries.Mean
 			exceeded = pct > tol.RecoveriesPct
 		}
 		if exceeded {
-			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%, 95%% CIs disjoint)",
-				c.BaselineRecoveries, c.CurrentRecoveries, tol.RecoveriesPct))
+			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%%s)",
+				c.BaselineRecoveries, c.CurrentRecoveries, tol.RecoveriesPct, suffix))
 		}
 	}
-	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 && credRise(base.ICMissPer1000, cur.ICMissPer1000) {
-		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.CacheMissPer1000))
+	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 && credRise(bc.ICMissPer1000, cc.ICMissPer1000) {
+		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.CacheMissPer1000, suffix))
 	}
-	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 && credRise(base.DCMissPer1000, cur.DCMissPer1000) {
-		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.CacheMissPer1000))
+	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 && credRise(bc.DCMissPer1000, cc.DCMissPer1000) {
+		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.CacheMissPer1000, suffix))
 	}
 	if len(reasons) > 0 {
 		c.Kind = DiffRegression

@@ -225,6 +225,12 @@ func TestDiffDeterministicOrderAndRenderings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One replicate per side: the interval gate must render exactly the
+	// point comparison, with no replicate counts or CI wording.
+	if !strings.Contains(text.String(), "IPC dropped 50.00% (tolerance 2.00%))") ||
+		strings.Contains(string(out), `"baseline_n"`) || strings.Contains(string(out), "CIs disjoint") {
+		t.Errorf("single-replicate diff carries interval detail:\n%s\n%s", text.String(), out)
+	}
 	var back tracep.Diff
 	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatal(err)

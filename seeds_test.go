@@ -300,6 +300,15 @@ func TestParseTolerances(t *testing.T) {
 		"allow-missing=maybe",
 		`{"ipc_pct":2,"unknown":1}`,
 		`{"ipc_pct":`,
+		"ipc=NaN,tmisp=nan,miss=NaN",
+		"ipc=NaN",
+		"tmisp=nan",
+		"recoveries=inf",
+		"miss=-Inf",
+		"ipc=-1",
+		"miss=-0.5",
+		`{"ipc_pct":-2}`,
+		`{"recoveries_pct":1e400}`,
 	} {
 		if _, err := tracep.ParseTolerances(bad); err == nil {
 			t.Errorf("ParseTolerances(%q) accepted bad spec", bad)

@@ -507,3 +507,43 @@ func TestClusterMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterScenarioRows: scenario rows shard across workers by instance
+// name — each worker request names one row in Benchmarks, which the worker
+// resolves again — and the grid stays byte-identical to in-process
+// Resolve+Run of the same spec.
+func TestClusterScenarioRows(t *testing.T) {
+	workers := newWorkers(t, 2)
+	mgr, _ := newCoordinator(t, workers, nil)
+	spec := server.SweepRequest{
+		Scenarios:     []string{"ptr-chase", "mixed"},
+		ScenarioSeeds: []int64{3},
+		Benchmarks:    []string{"vortex"},
+		Models:        []string{"base", "FG+MLB-RET"},
+		TargetInsts:   target,
+	}
+	got := submitAndCollect(t, mgr, spec)
+
+	sw, err := spec.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("cluster scenario grid differs from in-process:\n%s\n%s", got, want)
+	}
+	placed := 0
+	for _, w := range workers {
+		placed += len(w.Manager.List())
+	}
+	if placed < 3 {
+		t.Errorf("workers ran %d row sweeps, want every row (3) placed remotely", placed)
+	}
+}

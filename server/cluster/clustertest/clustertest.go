@@ -12,12 +12,14 @@
 //   - FaultCorrupt: the first stream line is scrambled into non-JSON, as
 //     if the payload was damaged in transit.
 //
-// Die and corrupt are one-shot (the fault clears once it fires, so the
-// retry that follows sees a healthy worker); hang is sticky (a wedged
-// worker stays wedged — recovery must come from stealing, not retrying).
-// Kill tears the whole worker down mid-flight: every open connection is
-// severed and the listener closed, so subsequent placements get connection
-// errors, exactly like a crashed node.
+// Die and corrupt are one-shot (the fault clears as soon as a stream
+// request claims it, which is also when Fired turns true — before the
+// faulty stream has written anything — so the retry that follows sees a
+// healthy worker); hang is sticky (a wedged worker stays wedged — recovery
+// must come from stealing, not retrying). Kill tears the whole worker down
+// mid-flight: the listener is closed first and then every open connection
+// severed, so no request can reconnect in between, and subsequent
+// placements get connection errors, exactly like a crashed node.
 package clustertest
 
 import (
@@ -86,18 +88,24 @@ func (w *Worker) SetFault(f Fault) {
 }
 
 // Fired reports whether an armed fault has been claimed by a stream
-// request since the last SetFault — how a test knows the injected failure
-// actually happened (e.g. to time a Kill right after a die fault fires).
+// request since the last SetFault. It turns true when the request claims
+// the fault, before the faulty stream writes anything, so it tells a test
+// the fault is in flight, not that its effect (a cut or garbled line) has
+// reached the client.
 func (w *Worker) Fired() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.fired
 }
 
-// Kill severs every open connection and stops the listener — the HTTP
-// appearance of a crashed worker. The manager keeps draining in the
-// background (its cleanup still runs); only the network face dies.
+// Kill stops the listener, then severs every open connection — the HTTP
+// appearance of a crashed worker. The order matters: with the listener
+// still open, net/http's transparent retry of an idempotent GET whose
+// connection died before any response byte would reconnect in the gap and
+// be served cleanly. The manager keeps draining in the background (its
+// cleanup still runs); only the network face dies.
 func (w *Worker) Kill() {
+	w.ts.Listener.Close()
 	w.ts.CloseClientConnections()
 	w.ts.Close()
 }

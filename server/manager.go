@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
+	"maps"
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,23 +162,10 @@ func (m *Manager) Corpus() []CorpusEntry {
 // state. changed is closed and replaced on every append or state change —
 // the broadcast streams block on.
 type job struct {
-	id          string
-	benches     []string
-	corpus      []string
-	models      []string
-	targetInsts uint64
-	seed        int64
-	// seeds is the job's replicate axis (deduped SweepRequest.Seeds); nil
-	// for single-replicate jobs, whose one implicit seed is seed.
-	seeds     []int64
-	warmup    uint64
-	warmupFor map[string]uint64
-	// tol echoes the request's advisory gate tolerances (may be nil).
-	tol *tracep.Tolerances
-	// snapKeys maps benchmark rows to content-addressed snapshot keys
-	// (SweepRequest.Snapshots): journaled with the job so a resume can
-	// re-fetch the same snapshots from the durable snapshot store.
-	snapKeys  map[string]string
+	id string
+	// spec is the job's resolved grid (see resolvedSpec): what the journal
+	// records, what Status echoes, and what a resume re-resolves.
+	spec      tracep.Spec
 	total     int
 	createdAt time.Time
 	cancel    context.CancelFunc
@@ -194,32 +184,15 @@ func (j *job) broadcastLocked() {
 	j.changed = make(chan struct{})
 }
 
-// seedAxis returns the job's effective replicate axis: the request's seeds
-// when it had one, else the single implicit {seed} — mirroring
+// seedAxis returns the job's effective replicate axis: the resolved seeds
+// when the request had any, else the single implicit {seed} — mirroring
 // tracep.Sweep's Seeds/Seed resolution so remotely collected sets stay
 // byte-identical to in-process ones.
 func (j *job) seedAxis() []int64 {
-	if len(j.seeds) > 0 {
-		return j.seeds
+	if len(j.spec.Seeds) > 0 {
+		return j.spec.Seeds
 	}
-	return []int64{j.seed}
-}
-
-// dedupeSeeds resolves a request's replicate axis: order-preserving
-// dedupe when set (matching tracep.Sweep), nil otherwise.
-func dedupeSeeds(seeds []int64) []int64 {
-	if len(seeds) == 0 {
-		return nil
-	}
-	seen := make(map[int64]bool, len(seeds))
-	out := make([]int64, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	return []int64{j.spec.Seed}
 }
 
 // snapshot returns the job's Status; withResults attaches the live
@@ -230,15 +203,15 @@ func (j *job) snapshot(withResults bool) Status {
 	st := Status{
 		ID:          j.id,
 		State:       j.state,
-		Benchmarks:  j.benches,
-		Corpus:      j.corpus,
-		Models:      j.models,
-		Seeds:       j.seeds,
-		TargetInsts: j.targetInsts,
-		Seed:        j.seed,
-		Warmup:      j.warmup,
-		WarmupFor:   j.warmupFor,
-		Tolerances:  j.tol,
+		Benchmarks:  j.spec.Benchmarks,
+		Corpus:      j.spec.Corpus,
+		Models:      j.spec.Models,
+		Seeds:       j.spec.Seeds,
+		TargetInsts: j.spec.TargetInsts,
+		Seed:        j.spec.Seed,
+		Warmup:      j.spec.Warmup,
+		WarmupFor:   j.spec.WarmupFor,
+		Tolerances:  j.spec.Tolerances,
 		Total:       j.total,
 		Completed:   len(j.cells),
 		Failed:      j.failed,
@@ -315,97 +288,19 @@ func (m *Manager) isClosed() bool {
 	return m.closed
 }
 
-// resolveRequest maps a wire request onto suite benchmarks, the server's
-// recorded-trace corpus, and paper models. Unknown suite/model names are
-// 400s; an unknown corpus name is a 404 (the resource — a recording on this
-// server — does not exist). Corpus rows follow suite rows; with only Corpus
-// set the grid is corpus-only, and with neither it is the full suite.
-func (m *Manager) resolveRequest(req SweepRequest) ([]tracep.Benchmark, []tracep.Model, error) {
-	var benches []tracep.Benchmark
-	if len(req.Benchmarks) == 0 && len(req.Corpus) == 0 {
-		benches = tracep.Benchmarks()
-	} else {
-		for _, name := range req.Benchmarks {
-			bm, err := tracep.BenchmarkByName(name)
-			if err != nil {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
-			}
-			benches = append(benches, bm)
-		}
-		for _, name := range req.Corpus {
-			bm, ok := m.corpus[name]
-			if !ok {
-				return nil, nil, &Error{StatusCode: http.StatusNotFound,
-					Message: fmt.Sprintf("no such corpus trace: %q (GET /v1/corpus lists available recordings)", name)}
-			}
-			benches = append(benches, bm)
-		}
-		seen := make(map[string]bool, len(benches))
-		for _, bm := range benches {
-			if seen[bm.Name] {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest,
-					Message: fmt.Sprintf("workload %q appears twice in the requested grid", bm.Name)}
-			}
-			seen[bm.Name] = true
-		}
-	}
-	var models []tracep.Model
-	if len(req.Models) == 0 {
-		models = tracep.Models()
-	} else {
-		for _, name := range req.Models {
-			m, ok := tracep.ModelByName(name)
-			if !ok {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: fmt.Sprintf("unknown model %q", name)}
-			}
-			models = append(models, m)
-		}
-	}
-	return benches, models, nil
-}
-
 // Submit validates req, starts its sweep on the shared pool, and returns
 // the new job's status. The sweep runs until its grid completes, Cancel is
-// called, or the manager closes.
+// called, or the manager closes. A bad name is a 400, except an unknown
+// corpus name or snapshot key: those resources do not exist here, a 404.
 func (m *Manager) Submit(req SweepRequest) (Status, error) {
-	benches, models, err := m.resolveRequest(req)
+	if req.TargetInsts == 0 {
+		req.TargetInsts = m.cfg.DefaultTargetInsts
+	}
+	sw, err := m.resolve(req)
 	if err != nil {
 		return Status{}, err
 	}
-	target := req.TargetInsts
-	if target == 0 {
-		target = m.cfg.DefaultTargetInsts
-	}
-
-	benchNames := make([]string, len(benches))
-	for i, bm := range benches {
-		benchNames[i] = bm.Name
-	}
-	modelNames := make([]string, len(models))
-	for i, md := range models {
-		modelNames[i] = md.Name
-	}
-	// Validate name-keyed maps in sorted order so the reported name is
-	// deterministic when several are bad (map iteration order is not).
-	inGrid := func(name string) bool {
-		for _, bn := range benchNames {
-			if bn == name {
-				return true
-			}
-		}
-		return false
-	}
-	for _, name := range sortedKeys(req.WarmupFor) {
-		if !inGrid(name) {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("warmup_for names %q, which is not in the requested grid", name)}
-		}
-	}
-	for _, name := range sortedKeys(req.Snapshots) {
-		if !inGrid(name) {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("snapshots names %q, which is not in the requested grid", name)}
-		}
+	for _, name := range slices.Sorted(maps.Keys(req.Snapshots)) {
 		key := req.Snapshots[name]
 		if !store.ValidKey(key) {
 			return Status{}, &Error{StatusCode: http.StatusBadRequest,
@@ -418,36 +313,16 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	seeds := dedupeSeeds(req.Seeds)
 	j := &job{
-		benches:     benchNames,
-		corpus:      append([]string(nil), req.Corpus...),
-		models:      modelNames,
-		targetInsts: target,
-		seed:        req.Seed,
-		seeds:       seeds,
-		warmup:      req.Warmup,
-		warmupFor:   req.WarmupFor,
-		snapKeys:    req.Snapshots,
-		tol:         req.Tolerances,
-		createdAt:   time.Now().UTC(),
-		cancel:      cancel,
-		finished:    make(chan struct{}),
-		state:       StateRunning,
-		changed:     make(chan struct{}),
+		spec:      resolvedSpec(req, sw),
+		createdAt: time.Now().UTC(),
+		cancel:    cancel,
+		finished:  make(chan struct{}),
+		state:     StateRunning,
+		changed:   make(chan struct{}),
 	}
-	axis := j.seedAxis()
-	j.total = len(benches) * len(models) * len(axis)
-	j.rs = tracep.NewResultSetGrid(benchNames, modelNames, axis)
-
-	// One row per (benchmark, seed): the row is the placement unit because
-	// its warm-up snapshot embeds seed-dependent predictor state.
-	rows := make([]RowSpec, 0, len(benches)*len(axis))
-	for _, bm := range benches {
-		for _, seed := range axis {
-			rows = append(rows, m.rowSpec(bm, models, j, seed))
-		}
-	}
+	j.initGrid()
+	rows := m.rows(j, sw)
 
 	m.mu.Lock()
 	if m.closed {
@@ -466,6 +341,49 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 	m.jobsSubmitted.Add(1)
 	go j.collect(m, m.runner.Run(ctx, rows))
 	return j.snapshot(false), nil
+}
+
+// resolve resolves spec against the server's corpus, mapping tracep's typed
+// errors onto HTTP: an unknown corpus trace is a 404, any other bad spec a
+// 400.
+func (m *Manager) resolve(spec tracep.Spec) (*tracep.Sweep, error) {
+	sw, err := spec.Resolve(m.corpus)
+	switch {
+	case errors.Is(err, tracep.ErrUnknownCorpus):
+		return nil, &Error{StatusCode: http.StatusNotFound, Message: err.Error() + " (GET /v1/corpus lists available recordings)"}
+	case err != nil:
+		return nil, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
+	}
+	return sw, nil
+}
+
+// resolvedSpec is the canonical form of a resolved request: every row by
+// name in Benchmarks (scenario instances, suite workloads, then corpus
+// rows, which Corpus also lists), the resolved model names and the
+// deduplicated seeds. It is what the journal records and Status echoes.
+// Its non-corpus rows resolve again through Benchmarks, so a resume needs
+// nothing but the record.
+func resolvedSpec(req SweepRequest, sw *tracep.Sweep) tracep.Spec {
+	spec := req
+	spec.Scenarios, spec.ScenarioSeeds = nil, nil
+	spec.Benchmarks = make([]string, len(sw.Benchmarks))
+	for i, bm := range sw.Benchmarks {
+		spec.Benchmarks[i] = bm.Name
+	}
+	spec.Models = make([]string, len(sw.Models))
+	for i, md := range sw.Models {
+		spec.Models[i] = md.Name
+	}
+	spec.Seeds = sw.Seeds
+	return spec
+}
+
+// initGrid sizes the job's cell count and fixes its ResultSet's axis order
+// from the resolved spec.
+func (j *job) initGrid() {
+	axis := j.seedAxis()
+	j.total = len(j.spec.Benchmarks) * len(j.spec.Models) * len(axis)
+	j.rs = tracep.NewResultSetGrid(j.spec.Benchmarks, j.spec.Models, axis)
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention bound.

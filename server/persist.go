@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,37 +30,14 @@ import (
 // jobs: a drained-but-unfinished sweep is "unfinished" on disk and resumes
 // on restart. Only client cancellation persists StateCancelled.
 
-// jobRecord is the KindJob payload: everything needed to rebuild and, if
-// necessary, resume the job. Snapshot content travels separately (the
-// content-addressed snapshot store); the record carries only keys.
+// jobRecord is the KindJob payload: the job's resolved grid (see
+// resolvedSpec), which is everything needed to rebuild and, if necessary,
+// resume the job. Snapshot content travels separately (the
+// content-addressed snapshot store); the record carries only keys. The
+// empty json tag names no key, so encoding/json inlines Spec's fields.
 type jobRecord struct {
-	Benchmarks  []string           `json:"benchmarks"`
-	Corpus      []string           `json:"corpus,omitempty"`
-	Models      []string           `json:"models"`
-	TargetInsts uint64             `json:"target_insts"`
-	Seed        int64              `json:"seed,omitempty"`
-	Seeds       []int64            `json:"seeds,omitempty"`
-	Warmup      uint64             `json:"warmup,omitempty"`
-	WarmupFor   map[string]uint64  `json:"warmup_for,omitempty"`
-	Snapshots   map[string]string  `json:"snapshots,omitempty"`
-	Tolerances  *tracep.Tolerances `json:"tolerances,omitempty"`
-	CreatedAt   time.Time          `json:"created_at"`
-}
-
-func (j *job) record() jobRecord {
-	return jobRecord{
-		Benchmarks:  j.benches,
-		Corpus:      j.corpus,
-		Models:      j.models,
-		TargetInsts: j.targetInsts,
-		Seed:        j.seed,
-		Seeds:       j.seeds,
-		Warmup:      j.warmup,
-		WarmupFor:   j.warmupFor,
-		Snapshots:   j.snapKeys,
-		Tolerances:  j.tol,
-		CreatedAt:   j.createdAt,
-	}
+	tracep.Spec `json:""`
+	CreatedAt   time.Time `json:"created_at"`
 }
 
 // persist appends rec to the job log (no-op on a store-less manager). A
@@ -77,7 +54,7 @@ func (m *Manager) persist(rec store.Record) {
 }
 
 func (m *Manager) persistJob(j *job) {
-	payload, err := json.Marshal(j.record())
+	payload, err := json.Marshal(jobRecord{j.spec, j.createdAt})
 	if err != nil {
 		m.storeErrors.Add(1)
 		return
@@ -216,26 +193,14 @@ func OpenManager(cfg Config) (*Manager, error) {
 // jobs as replayable history, non-terminal jobs as live jobs whose missing
 // cells go back through the Runner.
 func (m *Manager) adoptRecovered(r *recovered) {
-	meta := r.meta
 	j := &job{
-		id:          r.id,
-		benches:     meta.Benchmarks,
-		corpus:      meta.Corpus,
-		models:      meta.Models,
-		targetInsts: meta.TargetInsts,
-		seed:        meta.Seed,
-		seeds:       meta.Seeds,
-		warmup:      meta.Warmup,
-		warmupFor:   meta.WarmupFor,
-		snapKeys:    meta.Snapshots,
-		tol:         meta.Tolerances,
-		createdAt:   meta.CreatedAt,
-		finished:    make(chan struct{}),
-		changed:     make(chan struct{}),
+		id:        r.id,
+		spec:      r.meta.Spec,
+		createdAt: r.meta.CreatedAt,
+		finished:  make(chan struct{}),
+		changed:   make(chan struct{}),
 	}
-	axis := j.seedAxis()
-	j.total = len(meta.Benchmarks) * len(meta.Models) * len(axis)
-	j.rs = tracep.NewResultSetGrid(meta.Benchmarks, meta.Models, axis)
+	j.initGrid()
 	for _, res := range r.cells {
 		// Dedupe defensively: a cell journaled twice (possible only through
 		// log surgery, never through collect) must not inflate the count.
@@ -286,32 +251,40 @@ func (m *Manager) adoptRecovered(r *recovered) {
 	go j.collect(m, m.runner.Run(ctx, rows))
 }
 
-// resumeRows rebuilds the RowSpecs for a recovered job's missing cells.
+// resumeRows rebuilds the RowSpecs for a recovered job's missing cells by
+// resolving its journaled grid again. Corpus rows sit in both Benchmarks
+// and Corpus there, so they resolve through Corpus alone.
 func (m *Manager) resumeRows(j *job) ([]RowSpec, error) {
-	benches, models, err := m.resolveRequest(SweepRequest{
-		Benchmarks: suiteNames(j.benches, j.corpus),
-		Corpus:     j.corpus,
-		Models:     j.models,
-	})
+	spec := j.spec
+	spec.Benchmarks = withoutCorpus(spec.Benchmarks, spec.Corpus)
+	sw, err := m.resolve(spec)
 	if err != nil {
 		return nil, err
 	}
+	return m.rows(j, sw), nil
+}
+
+// rows builds one RowSpec per (benchmark, seed) row holding the models whose
+// cells j's ResultSet still lacks: the whole grid for a fresh job, exactly
+// the cells the journal does not hold for a resumed one. The row is the
+// placement unit because its warm-up snapshot embeds seed-dependent
+// predictor state.
+func (m *Manager) rows(j *job, sw *tracep.Sweep) []RowSpec {
 	var rows []RowSpec
-	for _, bm := range benches {
+	for _, bm := range sw.Benchmarks {
 		for _, seed := range j.seedAxis() {
 			var missing []tracep.Model
-			for _, md := range models {
+			for _, md := range sw.Models {
 				if !j.rs.HasReplicate(bm.Name, md.Name, seed) {
 					missing = append(missing, md)
 				}
 			}
-			if len(missing) == 0 {
-				continue
+			if len(missing) > 0 {
+				rows = append(rows, m.rowSpec(bm, missing, j, seed))
 			}
-			rows = append(rows, m.rowSpec(bm, missing, j, seed))
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // rowSpec builds one (benchmark, seed) row's spec from a job, resolving
@@ -322,12 +295,12 @@ func (m *Manager) rowSpec(bm tracep.Benchmark, models []tracep.Model, j *job, se
 	row := RowSpec{
 		Bench:       bm,
 		Models:      models,
-		TargetInsts: j.targetInsts,
+		TargetInsts: j.spec.TargetInsts,
 		Seed:        seed,
-		Warmup:      j.warmup,
+		Warmup:      j.spec.Warmup,
 		Corpus:      m.inCorpus(bm.Name),
 	}
-	if n, ok := j.warmupFor[bm.Name]; ok {
+	if n, ok := j.spec.WarmupFor[bm.Name]; ok {
 		row.Warmup = n
 	}
 	// Snapshot keys are benchmark-scoped but a warmed-up snapshot embeds
@@ -336,7 +309,7 @@ func (m *Manager) rowSpec(bm tracep.Benchmark, models []tracep.Model, j *job, se
 	// worker requests carry one seed and no seeds axis). Multi-seed jobs
 	// fall back to per-row functional warm-up — byte-identical, just not
 	// pre-captured.
-	if key, ok := j.snapKeys[bm.Name]; ok && len(j.seeds) == 0 {
+	if key, ok := j.spec.Snapshots[bm.Name]; ok && len(j.spec.Seeds) == 0 {
 		if snap := m.snaps.Get(key); snap != nil {
 			row.Snapshot, row.SnapshotKey = snap, key
 		}
@@ -344,26 +317,19 @@ func (m *Manager) rowSpec(bm tracep.Benchmark, models []tracep.Model, j *job, se
 	return row
 }
 
-// suiteNames filters a job's full bench axis down to the suite workloads
-// (the axis carries corpus rows too; resolveRequest takes them separately).
-func suiteNames(benches, corpus []string) []string {
+// withoutCorpus filters a job's full row axis down to the rows that are
+// not corpus recordings: the ones Spec.Benchmarks resolves.
+func withoutCorpus(rows, corpus []string) []string {
 	if len(corpus) == 0 {
-		if len(benches) == 0 {
-			return nil
-		}
-		return benches
+		return rows
 	}
-	isCorpus := make(map[string]bool, len(corpus))
-	for _, name := range corpus {
-		isCorpus[name] = true
-	}
-	var suite []string
-	for _, name := range benches {
-		if !isCorpus[name] {
-			suite = append(suite, name)
+	var out []string
+	for _, name := range rows {
+		if !slices.Contains(corpus, name) {
+			out = append(out, name)
 		}
 	}
-	return suite
+	return out
 }
 
 // jobSeq extracts N from a "sw-N" job ID (0 if the ID has another shape),
@@ -379,15 +345,4 @@ func jobSeq(id string) int {
 		return 0
 	}
 	return n
-}
-
-// sortedKeys returns a string-keyed map's keys in sorted order, for
-// deterministic validation messages.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m { //tracep:orderinvariant sorted below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -8,7 +8,7 @@
 //
 // # Endpoints
 //
-//	POST   /v1/sweeps             submit a benchmark×model grid (SweepRequest) -> 201 + Status
+//	POST   /v1/sweeps             submit a grid by name (SweepRequest, a tracep.Spec) -> 201 + Status
 //	GET    /v1/sweeps             list retained jobs (submission order)
 //	GET    /v1/sweeps/{id}        one job's Status including the collected ResultSet
 //	GET    /v1/sweeps/{id}/stream NDJSON stream of StreamEvents: each completed
@@ -25,7 +25,8 @@
 //	                              exposition instead; see metrics.go
 //
 // Errors are JSON Error bodies with matching HTTP status codes; requesting
-// a corpus workload the server does not hold is a 404.
+// a corpus workload the server does not hold is a 404, and a submit body
+// over maxSweepRequestBytes is a 413.
 //
 // # Concurrency model
 //
@@ -40,16 +41,22 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
 	"tracep/server/store"
 )
 
-// maxSnapshotBytes bounds PUT /v1/snapshots bodies: far above any real
-// snapshot (whose dominant term is the warm-up's touched memory), far
-// below a memory-exhaustion request.
-const maxSnapshotBytes = 1 << 30
+// Body bounds. maxSnapshotBytes bounds PUT /v1/snapshots bodies: far
+// above any real snapshot (whose dominant term is the warm-up's touched
+// memory), far below a memory-exhaustion request. maxSweepRequestBytes
+// bounds POST /v1/sweeps bodies: a grid by name is a few hundred bytes,
+// and even a spec naming thousands of rows fits with room to spare.
+const (
+	maxSnapshotBytes     = 1 << 30
+	maxSweepRequestBytes = 1 << 20
+)
 
 // Handler returns the tracepd HTTP API over m, routed with Go 1.22 method
 // patterns. It can be mounted directly on http.Server or wrapped with
@@ -93,8 +100,12 @@ func writeNotFound(w http.ResponseWriter, id string) {
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &Error{StatusCode: http.StatusBadRequest, Message: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, &Error{StatusCode: code, Message: "bad request body: " + err.Error()})
 		return
 	}
 	st, err := m.Submit(req)

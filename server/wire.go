@@ -14,59 +14,15 @@ import (
 // channel contract (Sweep.Stream) and its JSON shape are the single source
 // of truth for both.
 
-// SweepRequest is the body of POST /v1/sweeps: a (benchmark × model) grid
-// by name, resolved server-side against the suite and the paper's eight
-// models. Empty Benchmarks or Models mean "all eight" — the paper's full
-// §6 cross-product.
-type SweepRequest struct {
-	// Benchmarks names suite workloads (tracep.BenchmarkByName); empty =
-	// the full eight-workload suite — unless Corpus selects recorded
-	// workloads, in which case empty Benchmarks means "corpus only".
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Corpus names recorded-trace workloads from the server's corpus
-	// directory (tracepd -corpus; GET /v1/corpus lists them). Corpus rows
-	// are appended after Benchmarks rows in the grid. An unknown name is a
-	// 404 with a typed Error body.
-	Corpus []string `json:"corpus,omitempty"`
-	// Models names experimental models (tracep.ModelByName); empty = all
-	// eight models of §6.
-	Models []string `json:"models,omitempty"`
-	// TargetInsts sizes each workload (like tracep.Sweep.TargetInsts);
-	// 0 = the server's default.
-	TargetInsts uint64 `json:"target_insts,omitempty"`
-	// Seed scrambles initial branch-predictor state (tracep.WithSeed). The
-	// single-replicate degenerate case of Seeds, exactly as on tracep.Sweep.
-	Seed int64 `json:"seed,omitempty"`
-	// Seeds, when non-empty, replicates every (benchmark, model) cell once
-	// per seed (tracep.Sweep.Seeds): cells stream back carrying their seed,
-	// and the collected ResultSet aggregates them into mean±CI CellStats.
-	// Duplicates are ignored (first occurrence wins). Absent = one
-	// replicate per cell under Seed, the pre-seeds wire shape bit-for-bit.
-	Seeds []int64 `json:"seeds,omitempty"`
-	// Warmup fast-forwards this many instructions functionally before each
-	// cell's measured region; one warm-up snapshot per benchmark is shared
-	// across the row's model cells (tracep.Sweep.Warmup).
-	Warmup uint64 `json:"warmup,omitempty"`
-	// WarmupFor overrides Warmup per benchmark row, keyed by benchmark
-	// name (tracep.Sweep.WarmupFor). A missing key falls back to Warmup;
-	// an explicit zero forces that row to run cold. Names must resolve
-	// against the requested grid.
-	WarmupFor map[string]uint64 `json:"warmup_for,omitempty"`
-	// Snapshots maps benchmark rows to content-addressed snapshot keys in
-	// the server's snapshot store (PUT /v1/snapshots/{key} first; the
-	// coordinator ships row snapshots to workers this way). A named row
-	// restores from its snapshot instead of running the functional warm-up
-	// — byte-identical, but captured once per cluster rather than once per
-	// placement. Names must resolve against the requested grid; a key the
-	// server does not hold is a 404.
-	Snapshots map[string]string `json:"snapshots,omitempty"`
-	// Tolerances optionally records the regression-gate tolerances the
-	// submitter will diff the collected set under (tracep.ParseTolerances'
-	// JSON shape). The server echoes it in Status — advisory metadata that
-	// travels with the job so downstream gates agree on one encoding; the
-	// diff itself still runs client-side.
-	Tolerances *tracep.Tolerances `json:"tolerances,omitempty"`
-}
+// SweepRequest is the body of POST /v1/sweeps: a tracep.Spec naming the
+// grid — scenario families, suite benchmarks, the server's recorded traces
+// (Corpus; GET /v1/corpus lists them), models, seeds, warm-up, snapshot
+// keys and advisory tolerances — resolved server-side by Spec.Resolve.
+// Empty Benchmarks, Scenarios and Corpus mean the full eight-workload
+// suite and empty Models all eight models: the paper's full §6
+// cross-product. TargetInsts 0 takes the server's default. An unknown
+// corpus name or snapshot key is a 404; any other bad name a 400.
+type SweepRequest = tracep.Spec
 
 // State is a sweep job's lifecycle phase.
 type State string
